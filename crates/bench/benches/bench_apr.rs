@@ -1,10 +1,13 @@
 //! Micro-bench: layout-synthesis throughput — netlist generation,
-//! floorplan + place + route of the full ADC, and signoff.
+//! floorplan + place + route of the full ADC, the placer alone, and
+//! signoff. Baseline: `BENCH_apr.json` (`--save` / `--compare`).
 
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use tdsigma_bench::harness::BenchRunner;
 use tdsigma_core::{netgen, spec::AdcSpec};
-use tdsigma_layout::{analyze_timing, synthesize, AprOptions};
+use tdsigma_layout::place::place;
+use tdsigma_layout::{analyze_timing, synthesize, AprOptions, Floorplan, PhysicalLibrary};
 use tdsigma_netlist::{GateSimulator, PowerPlan};
 
 fn main() {
@@ -28,6 +31,23 @@ fn main() {
                 synthesize(&flat, &plan, &spec.tech, &AprOptions::default()).expect("APR clean"),
             )
         });
+
+        // The placer alone (the `flow.apr.place` span), on the floorplan
+        // and region assignments `synthesize` builds for the paper point.
+        let apr = AprOptions::default();
+        let lib = PhysicalLibrary::for_technology(&spec.tech);
+        let floorplan = Floorplan::generate(&flat, &plan, &lib, apr.utilization).expect("fp");
+        let assignments: BTreeMap<String, String> = flat
+            .cells
+            .iter()
+            .map(|c| {
+                let region = plan.region_of(&c.path).expect("every cell has a region");
+                (c.path.clone(), region.name.clone())
+            })
+            .collect();
+        runner.bench(&format!("apr_place_{label}"), || {
+            black_box(place(&flat, &assignments, &floorplan, &lib, apr.seed).expect("placement"))
+        });
     }
 
     let flat = netgen::generate(&spec).expect("netlist").flatten();
@@ -47,4 +67,5 @@ fn main() {
         sim.drive("CLK", false);
         black_box(sim.last_settle_steps())
     });
+    runner.finish();
 }

@@ -7,10 +7,17 @@
 //! and the slice codes, every integer activity counter, and the bit
 //! patterns of the float accumulators. Any engine change that alters a
 //! single bit of the transient shows up here.
+//!
+//! It then prints one `layout` line per paper point: the FNV-1a digest
+//! of the PD-aware DEF text, its HPWL, and the naive flow's HPWL and
+//! rail-short count.
 
+use tdsigma_core::netgen;
 use tdsigma_core::sim::AdcSimulator;
 use tdsigma_core::spec::AdcSpec;
 use tdsigma_dsp::window::Window;
+use tdsigma_layout::{synthesize, synthesize_naive, to_def, AprOptions};
+use tdsigma_netlist::PowerPlan;
 
 /// FNV-1a over a byte stream (the same checksum the golden test uses).
 fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
@@ -54,5 +61,28 @@ fn main() {
                 a.duration_s.to_bits(),
             );
         }
+    }
+    for (node, spec) in [
+        ("40nm", AdcSpec::paper_40nm().expect("spec")),
+        ("180nm", AdcSpec::paper_180nm().expect("spec")),
+    ] {
+        let flat = netgen::generate(&spec).expect("netlist").flatten();
+        let plan = PowerPlan::infer(&flat).expect("plan");
+        let apr = AprOptions::default();
+        let pd = synthesize(&flat, &plan, &spec.tech, &apr).expect("APR");
+        let def = to_def(
+            &pd.placement,
+            "adc_top",
+            pd.floorplan.die.width(),
+            pd.floorplan.die.height(),
+        );
+        let naive = synthesize_naive(&flat, &spec.tech, &apr).expect("naive APR");
+        println!(
+            "layout {node} def={:016x} hpwl={} naive_hpwl={} naive_rail_shorts={}",
+            fnv1a(def.bytes()),
+            pd.placement.hpwl_nm,
+            naive.placement.hpwl_nm,
+            naive.checks.rail_conflicts(),
+        );
     }
 }

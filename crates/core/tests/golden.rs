@@ -1,5 +1,6 @@
 //! Golden bit-exactness suite: the transient engine's output, down to the
-//! last bit, for 3 seeds × 2 paper nodes.
+//! last bit, for 3 seeds × 2 paper nodes — plus the layout path (DEF
+//! digest, HPWL and naive-flow rail shorts) at both paper points.
 //!
 //! The SoA hot-loop refactor (and any future one) must reproduce the
 //! scalar engine's floating-point stream *exactly* — same-seed runs are a
@@ -16,13 +17,16 @@
 //! cargo run --release -p tdsigma-bench --bin golden_probe
 //! ```
 //!
-//! and paste the output into `GOLDEN` below, noting the change in
+//! and paste the output into `GOLDEN` / `LAYOUT_GOLDEN` below, noting the change in
 //! CHANGELOG.md. Never regenerate to paper over an unexplained diff.
 
+use tdsigma_core::netgen;
 use tdsigma_core::sim::AdcSimulator;
 use tdsigma_core::spec::AdcSpec;
 use tdsigma_dsp::spectrum::SpectrumScratch;
 use tdsigma_dsp::window::Window;
+use tdsigma_layout::{synthesize, synthesize_naive, to_def, AprOptions};
+use tdsigma_netlist::PowerPlan;
 
 /// Output of `golden_probe` at the fixed-grid clock baseline.
 const GOLDEN: &str = "\
@@ -32,6 +36,15 @@ const GOLDEN: &str = "\
 180nm seed=2017 output=d5ff91101bc77dbf codes=ff2865efd06db2da spectrum=30dbe65a56964c4e vco=6559 clk=1024 dac=4699 d=4695 cmp=65536 energy=3e3125bfe3f6ebfb dur=3ed12e0be826d695
 180nm seed=1 output=f901ff416ca76c7d codes=83a3d26f61e9e319 spectrum=1616adf82772d995 vco=6559 clk=1024 dac=4716 d=4711 cmp=65536 energy=3e3126c742c68aa3 dur=3ed12e0be826d695
 180nm seed=42 output=3eaef3ad5c781cd3 codes=b8297ed579abdd67 spectrum=b7aaf9809b99aa65 vco=6556 clk=1024 dac=4792 d=4782 cmp=65536 energy=3e3134c29a0781df dur=3ed12e0be826d695
+";
+
+/// Output of `golden_probe` for the layout path: the paper points at the
+/// default APR options (seed 42). `def` digests the PD-aware DEF text;
+/// the naive single-domain flow contributes its HPWL and rail-short count
+/// (the failure the MSV methodology exists to fix).
+const LAYOUT_GOLDEN: &str = "\
+layout 40nm def=b14340c93ed14ce0 hpwl=15463620 naive_hpwl=8539440 naive_rail_shorts=725
+layout 180nm def=3a0bd7197df971c7 hpwl=66489090 naive_hpwl=34778070 naive_rail_shorts=865
 ";
 
 /// FNV-1a over a byte stream — keep in sync with `golden_probe`.
@@ -70,6 +83,45 @@ fn golden_line(node: &str, spec: &AdcSpec, seed: u64, scratch: &mut SpectrumScra
         a.resistor_energy_j.to_bits(),
         a.duration_s.to_bits(),
     )
+}
+
+fn layout_golden_line(node: &str, spec: &AdcSpec) -> String {
+    let flat = netgen::generate(spec).expect("netlist").flatten();
+    let plan = PowerPlan::infer(&flat).expect("plan");
+    let apr = AprOptions::default();
+    let pd = synthesize(&flat, &plan, &spec.tech, &apr).expect("APR");
+    let def = to_def(
+        &pd.placement,
+        "adc_top",
+        pd.floorplan.die.width(),
+        pd.floorplan.die.height(),
+    );
+    let naive = synthesize_naive(&flat, &spec.tech, &apr).expect("naive APR");
+    format!(
+        "layout {node} def={:016x} hpwl={} naive_hpwl={} naive_rail_shorts={}",
+        fnv1a(def.bytes()),
+        pd.placement.hpwl_nm,
+        naive.placement.hpwl_nm,
+        naive.checks.rail_conflicts(),
+    )
+}
+
+#[test]
+fn layout_matches_golden_fixtures() {
+    let mut got = String::new();
+    for (node, spec) in [
+        ("40nm", AdcSpec::paper_40nm().expect("spec")),
+        ("180nm", AdcSpec::paper_180nm().expect("spec")),
+    ] {
+        got.push_str(&layout_golden_line(node, &spec));
+        got.push('\n');
+    }
+    assert_eq!(
+        LAYOUT_GOLDEN, got,
+        "layout golden mismatch — the placement or sign-off changed; if \
+         this was intentional, regenerate the fixtures with golden_probe \
+         and document it in CHANGELOG.md"
+    );
 }
 
 #[test]

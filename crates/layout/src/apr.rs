@@ -1,5 +1,9 @@
 //! The complete APR flow (paper Fig. 9): library modification → floorplan
 //! generation → placement → routing → extraction → checks.
+//!
+//! Each phase runs under an obs span `flow.apr.{floorplan,place,route,
+//! extract,checks}`, nested inside the flow's `flow.apr`, so stage tables
+//! break APR time down under the same names as the benchmark's layers.
 
 use crate::checks::{check_placement, CheckReport};
 use crate::error::LayoutError;
@@ -11,6 +15,7 @@ use crate::route::{route, Routing};
 use std::collections::BTreeMap;
 use std::fmt;
 use tdsigma_netlist::{FlatNetlist, PowerPlan};
+use tdsigma_obs as obs;
 use tdsigma_tech::Technology;
 
 /// Options of the APR run.
@@ -90,7 +95,10 @@ pub fn synthesize(
     options: &AprOptions,
 ) -> Result<LayoutResult, LayoutError> {
     let lib = PhysicalLibrary::for_technology(tech);
-    let floorplan = Floorplan::generate(flat, plan, &lib, options.utilization)?;
+    let floorplan = {
+        let _span = obs::span("flow.apr.floorplan");
+        Floorplan::generate(flat, plan, &lib, options.utilization)?
+    };
     let assignments: BTreeMap<String, String> = flat
         .cells
         .iter()
@@ -118,7 +126,10 @@ pub fn synthesize_naive(
     options: &AprOptions,
 ) -> Result<LayoutResult, LayoutError> {
     let lib = PhysicalLibrary::for_technology(tech);
-    let floorplan = Floorplan::generate_naive(flat, &lib, options.utilization)?;
+    let floorplan = {
+        let _span = obs::span("flow.apr.floorplan");
+        Floorplan::generate_naive(flat, &lib, options.utilization)?
+    };
     let assignments: BTreeMap<String, String> = flat
         .cells
         .iter()
@@ -137,17 +148,29 @@ fn finish(
     tech: &Technology,
     options: &AprOptions,
 ) -> Result<LayoutResult, LayoutError> {
-    let placement = place(flat, &assignments, &floorplan, lib, options.seed)?;
-    let routing = route(
-        flat,
-        &placement,
-        floorplan.die.width(),
-        floorplan.die.height(),
-        floorplan.row_height_nm(),
-        options.gcell_rows,
-    )?;
-    let parasitics = Parasitics::extract(&routing, tech);
-    let checks = check_placement(flat, &placement);
+    let placement = {
+        let _span = obs::span("flow.apr.place").attr("cells", flat.cells.len());
+        place(flat, &assignments, &floorplan, lib, options.seed)?
+    };
+    let routing = {
+        let _span = obs::span("flow.apr.route");
+        route(
+            flat,
+            &placement,
+            floorplan.die.width(),
+            floorplan.die.height(),
+            floorplan.row_height_nm(),
+            options.gcell_rows,
+        )?
+    };
+    let parasitics = {
+        let _span = obs::span("flow.apr.extract");
+        Parasitics::extract(&routing, tech)
+    };
+    let checks = {
+        let _span = obs::span("flow.apr.checks");
+        check_placement(flat, &placement)
+    };
     if options.enforce_checks && !checks.is_clean() {
         return Err(LayoutError::ChecksFailed {
             violations: checks.violations.len(),

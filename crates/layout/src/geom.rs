@@ -1,5 +1,6 @@
 //! Integer geometry in nanometres.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A point in nanometres.
@@ -130,18 +131,20 @@ impl fmt::Display for Rect {
 }
 
 /// Half-perimeter wirelength of a set of points (the classic placement
-/// cost), in nm. Returns 0 for fewer than two points.
-pub fn half_perimeter(points: &[Point]) -> i64 {
-    if points.len() < 2 {
-        return 0;
-    }
+/// cost), in nm: the bounding box, folded without allocating. Returns 0
+/// for fewer than two points.
+pub fn half_perimeter<P: Borrow<Point>>(points: impl IntoIterator<Item = P>) -> i64 {
     let (mut xmin, mut xmax) = (i64::MAX, i64::MIN);
     let (mut ymin, mut ymax) = (i64::MAX, i64::MIN);
     for p in points {
+        let p = p.borrow();
         xmin = xmin.min(p.x);
         xmax = xmax.max(p.x);
         ymin = ymin.min(p.y);
         ymax = ymax.max(p.y);
+    }
+    if xmin > xmax {
+        return 0;
     }
     (xmax - xmin) + (ymax - ymin)
 }
@@ -208,9 +211,9 @@ mod tests {
     #[test]
     fn hpwl_basic() {
         let pts = [Point::new(0, 0), Point::new(10, 0), Point::new(5, 20)];
-        assert_eq!(half_perimeter(&pts), 30);
+        assert_eq!(half_perimeter(pts), 30);
         assert_eq!(half_perimeter(&pts[..1]), 0);
-        assert_eq!(half_perimeter(&[]), 0);
+        assert_eq!(half_perimeter(std::iter::empty::<Point>()), 0);
     }
 
     #[test]

@@ -90,6 +90,8 @@ struct CellState {
     region_idx: usize,
     row: usize,
     order_in_row: usize,
+    /// Lower-left x, nm — kept in step with the row order by [`reflow`].
+    x_nm: i64,
 }
 
 struct RowState {
@@ -107,6 +109,12 @@ struct RowState {
 /// region. The placer never violates region boundaries; within each region
 /// it minimises global HPWL with simulated annealing (deterministic for a
 /// given `seed`).
+///
+/// Each annealing move is costed incrementally: only cells whose position
+/// the swap changes are re-positioned, and only their nets are re-measured.
+/// Cost is integer HPWL and nets of unmoved cells contribute exactly zero
+/// to the move's delta, so the move/accept sequence — and therefore the
+/// placement — is the same as re-measuring every net of both rows.
 ///
 /// # Errors
 ///
@@ -166,14 +174,17 @@ pub fn place(
                 required_sites: phys.width_sites,
                 available_sites: 0,
             })?;
-        let order = rows[row_idx].cells.len();
-        rows[row_idx].cells.push(cells.len());
-        rows[row_idx].used_sites += phys.width_sites;
+        let row = &mut rows[row_idx];
+        let x_nm = row.x0_nm + row.used_sites as i64 * site;
+        let order = row.cells.len();
+        row.cells.push(cells.len());
+        row.used_sites += phys.width_sites;
         cells.push(CellState {
             width_sites: phys.width_sites,
             region_idx,
             row: row_idx,
             order_in_row: order,
+            x_nm,
         });
     }
 
@@ -204,22 +215,15 @@ pub fn place(
         }
     }
 
-    let position = |cells: &[CellState], rows: &[RowState], ci: usize| -> Point {
-        let c = &cells[ci];
-        let row = &rows[c.row];
-        let mut x = row.x0_nm;
-        for &other in row.cells.iter().take(c.order_in_row) {
-            x += cells[other].width_sites as i64 * site;
-        }
-        Point::new(x + c.width_sites as i64 * site / 2, row.y_nm + row_h / 2)
-    };
-
+    // Pin = cell centre; HPWL is the bounding box of a net's pins.
     let net_hpwl = |cells: &[CellState], rows: &[RowState], members: &[usize]| -> i64 {
-        let pts: Vec<Point> = members
-            .iter()
-            .map(|&ci| position(cells, rows, ci))
-            .collect();
-        half_perimeter(&pts)
+        half_perimeter(members.iter().map(|&ci| {
+            let c = &cells[ci];
+            Point::new(
+                c.x_nm + c.width_sites as i64 * site / 2,
+                rows[c.row].y_nm + row_h / 2,
+            )
+        }))
     };
 
     let mut net_costs: Vec<i64> = net_cells
@@ -235,6 +239,13 @@ pub fn place(
         let iterations = (n * 60).clamp(200, 60_000);
         let mut temperature = (total as f64 / net_costs.len().max(1) as f64).max(1.0);
         let cooling = (0.01f64 / temperature.max(1.0)).powf(1.0 / iterations as f64);
+        // Per-move scratch, reused: `(cell, x before the move)` for every
+        // cell the swap shifted, and `(net, HPWL after the move)` for every
+        // net with a moved pin, deduplicated by epoch stamps.
+        let mut moved: Vec<(usize, i64)> = Vec::new();
+        let mut affected: Vec<(usize, i64)> = Vec::new();
+        let mut stamp: Vec<u32> = vec![0; net_cells.len()];
+        let mut epoch = 0u32;
         for _ in 0..iterations {
             let a = rng.gen_range(n);
             let b = rng.gen_range(n);
@@ -244,43 +255,58 @@ pub fn place(
             }
             // Swapping cells of different widths within the same row is a
             // reorder; across rows it must respect capacity.
-            if cells[a].row != cells[b].row {
+            let (row_a, ord_a) = (cells[a].row, cells[a].order_in_row);
+            let (row_b, ord_b) = (cells[b].row, cells[b].order_in_row);
+            if row_a != row_b {
                 let (wa, wb) = (cells[a].width_sites, cells[b].width_sites);
-                let row_a = &rows[cells[a].row];
-                let row_b = &rows[cells[b].row];
-                if row_a.used_sites - wa + wb > row_a.sites
-                    || row_b.used_sites - wb + wa > row_b.sites
+                if rows[row_a].used_sites - wa + wb > rows[row_a].sites
+                    || rows[row_b].used_sites - wb + wa > rows[row_b].sites
                 {
                     temperature *= cooling;
                     continue;
                 }
             }
-            // Collect affected nets: nets of every cell in both rows (x of
-            // later cells in the rows shifts when widths differ).
-            let mut affected: Vec<usize> = Vec::new();
-            for &row_idx in &[cells[a].row, cells[b].row] {
-                for &ci in &rows[row_idx].cells {
-                    affected.extend(cell_nets[ci].iter().copied());
-                }
-            }
-            affected.sort_unstable();
-            affected.dedup();
-            let before: i64 = affected.iter().map(|&ni| net_costs[ni]).sum();
 
             swap_cells(&mut cells, &mut rows, a, b);
-
-            let after: i64 = affected
-                .iter()
-                .map(|&ni| net_hpwl(&cells, &rows, &net_cells[ni]))
-                .sum();
-            let delta = after - before;
+            // Only the span between the two slots shifts within one row;
+            // across rows, each row's suffix from the swapped slot does.
+            moved.clear();
+            if row_a == row_b {
+                let (lo, hi) = (ord_a.min(ord_b), ord_a.max(ord_b));
+                reflow(&mut cells, &rows[row_a], lo..hi + 1, site, &mut moved);
+            } else {
+                let end_a = rows[row_a].cells.len();
+                let end_b = rows[row_b].cells.len();
+                reflow(&mut cells, &rows[row_a], ord_a..end_a, site, &mut moved);
+                reflow(&mut cells, &rows[row_b], ord_b..end_b, site, &mut moved);
+            }
+            // `a` and `b` always count: a row change moves y even when x
+            // happens to stay put.
+            epoch += 1;
+            affected.clear();
+            for ci in moved.iter().map(|&(ci, _)| ci).chain([a, b]) {
+                for &ni in &cell_nets[ci] {
+                    if stamp[ni] != epoch {
+                        stamp[ni] = epoch;
+                        affected.push((ni, 0));
+                    }
+                }
+            }
+            let mut delta = 0i64;
+            for (ni, after) in affected.iter_mut() {
+                *after = net_hpwl(&cells, &rows, &net_cells[*ni]);
+                delta += *after - net_costs[*ni];
+            }
             let accept = delta <= 0 || rng.gen_f64() < (-(delta as f64) / temperature).exp();
             if accept {
-                for &ni in &affected {
-                    net_costs[ni] = net_hpwl(&cells, &rows, &net_cells[ni]);
+                for &(ni, after) in &affected {
+                    net_costs[ni] = after;
                 }
             } else {
                 swap_cells(&mut cells, &mut rows, a, b);
+                for &(ci, x_nm) in &moved {
+                    cells[ci].x_nm = x_nm;
+                }
             }
             temperature *= cooling;
         }
@@ -291,19 +317,14 @@ pub fn place(
     let mut index = BTreeMap::new();
     for (ci, flat_cell) in flat.cells.iter().enumerate() {
         let c = &cells[ci];
-        let row = &rows[c.row];
-        let mut x = row.x0_nm;
-        for &other in row.cells.iter().take(c.order_in_row) {
-            x += cells[other].width_sites as i64 * site;
-        }
         let region = floorplan.regions[c.region_idx].name.clone();
         index.insert(flat_cell.path.clone(), placed.len());
         placed.push(PlacedCell {
             path: flat_cell.path.clone(),
             cell: flat_cell.cell.clone(),
             region,
-            x_nm: x,
-            y_nm: row.y_nm,
+            x_nm: c.x_nm,
+            y_nm: rows[c.row].y_nm,
             width_nm: c.width_sites as i64 * site,
             height_nm: row_h,
         });
@@ -330,6 +351,33 @@ fn swap_cells(cells: &mut [CellState], rows: &mut [RowState], a: usize, b: usize
     cells[a].order_in_row = ord_b;
     cells[b].row = row_a;
     cells[b].order_in_row = ord_a;
+}
+
+/// Re-derives the lower-left x of the cells in `slots` of `row` from the
+/// (unchanged) cell before the span, logging `(cell, old x)` for every
+/// cell whose x changed.
+fn reflow(
+    cells: &mut [CellState],
+    row: &RowState,
+    slots: std::ops::Range<usize>,
+    site: i64,
+    moved: &mut Vec<(usize, i64)>,
+) {
+    let mut x = match slots.start.checked_sub(1) {
+        Some(prev) => {
+            let c = &cells[row.cells[prev]];
+            c.x_nm + c.width_sites as i64 * site
+        }
+        None => row.x0_nm,
+    };
+    for &ci in &row.cells[slots] {
+        let c = &mut cells[ci];
+        if c.x_nm != x {
+            moved.push((ci, c.x_nm));
+            c.x_nm = x;
+        }
+        x += c.width_sites as i64 * site;
+    }
 }
 
 #[cfg(test)]
