@@ -12,6 +12,7 @@
 //! of the PD-aware DEF text, its HPWL, and the naive flow's HPWL and
 //! rail-short count.
 
+use tdsigma_core::fingerprint::{fnv1a64, FNV_BASIS};
 use tdsigma_core::netgen;
 use tdsigma_core::sim::AdcSimulator;
 use tdsigma_core::spec::AdcSpec;
@@ -19,14 +20,13 @@ use tdsigma_dsp::window::Window;
 use tdsigma_layout::{synthesize, synthesize_naive, to_def, AprOptions};
 use tdsigma_netlist::PowerPlan;
 
-/// FNV-1a over a byte stream (the same checksum the golden test uses).
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// FNV-1a over the little-endian bit patterns of `values` (chained, so
+/// equal to one pass over the concatenated bytes), the same
+/// checksum the golden test uses.
+fn digest_f64s(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .fold(FNV_BASIS, |h, v| fnv1a64(&v.to_bits().to_le_bytes(), h))
 }
 
 fn main() {
@@ -43,10 +43,10 @@ fn main() {
             let amp = 0.79 * spec.full_scale_v();
             let mut sim = AdcSimulator::new(spec).expect("sim");
             let cap = sim.run_tone(fin, amp, n);
-            let out_sum = fnv1a(cap.output.iter().flat_map(|v| v.to_bits().to_le_bytes()));
-            let code_sum = fnv1a(cap.slice_codes.iter().copied());
+            let out_sum = digest_f64s(&cap.output);
+            let code_sum = fnv1a64(&cap.slice_codes, FNV_BASIS);
             let psd = cap.spectrum(Window::Hann);
-            let psd_sum = fnv1a(psd.powers().iter().flat_map(|v| v.to_bits().to_le_bytes()));
+            let psd_sum = digest_f64s(psd.powers());
             let a = &cap.activity;
             println!(
                 "{node} seed={seed} output={out_sum:016x} codes={code_sum:016x} \
@@ -79,7 +79,7 @@ fn main() {
         let naive = synthesize_naive(&flat, &spec.tech, &apr).expect("naive APR");
         println!(
             "layout {node} def={:016x} hpwl={} naive_hpwl={} naive_rail_shorts={}",
-            fnv1a(def.bytes()),
+            fnv1a64(def.as_bytes(), FNV_BASIS),
             pd.placement.hpwl_nm,
             naive.placement.hpwl_nm,
             naive.checks.rail_conflicts(),

@@ -1,4 +1,4 @@
-//! Clocking and fixed-step transient bookkeeping.
+//! Clocking for fixed-step transients.
 //!
 //! Time-keeping here is **drift-free by construction**: a clock never
 //! accumulates `time += dt` across steps (repeated FP addition drifts
@@ -191,83 +191,6 @@ impl fmt::Display for Clock {
     }
 }
 
-/// Configuration of a fixed-step transient run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransientConfig {
-    /// Simulation step, seconds.
-    pub dt_s: f64,
-    /// Total simulated time, seconds.
-    pub duration_s: f64,
-    /// Exact step count when built from an integer grid
-    /// ([`per_cycle`](TransientConfig::per_cycle)); `None` for a config
-    /// assembled from raw floats.
-    exact_steps: Option<usize>,
-}
-
-impl TransientConfig {
-    /// Creates a config from a raw step size and duration.
-    ///
-    /// [`step_count`](TransientConfig::step_count) on such a config is
-    /// the *rounded* quotient of the two floats; prefer
-    /// [`per_cycle`](TransientConfig::per_cycle), which carries the
-    /// exact integer count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is not positive.
-    pub fn from_durations(dt_s: f64, duration_s: f64) -> Self {
-        assert!(dt_s > 0.0, "step size must be positive");
-        assert!(duration_s > 0.0, "duration must be positive");
-        TransientConfig {
-            dt_s,
-            duration_s,
-            exact_steps: None,
-        }
-    }
-
-    /// Creates a config that takes `steps_per_cycle` steps per period of a
-    /// `clock_hz` clock and runs for `n_cycles` cycles.
-    ///
-    /// The step count is carried exactly as `steps_per_cycle · n_cycles`
-    /// — it does not round-trip through the derived floats, so awkward
-    /// clock frequencies (say 1/3 GHz, where neither `dt` nor the
-    /// duration is representable) still report the exact count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any argument is zero/negative.
-    pub fn per_cycle(clock_hz: f64, steps_per_cycle: usize, n_cycles: usize) -> Self {
-        assert!(clock_hz > 0.0, "clock frequency must be positive");
-        assert!(steps_per_cycle > 0, "need at least one step per cycle");
-        assert!(n_cycles > 0, "need at least one cycle");
-        let period = 1.0 / clock_hz;
-        TransientConfig {
-            dt_s: period / steps_per_cycle as f64,
-            duration_s: period * n_cycles as f64,
-            exact_steps: Some(steps_per_cycle * n_cycles),
-        }
-    }
-
-    /// Total number of steps: exact for [`per_cycle`](Self::per_cycle)
-    /// configs, otherwise the rounded `duration / dt` quotient.
-    pub fn step_count(&self) -> usize {
-        self.exact_steps
-            .unwrap_or_else(|| (self.duration_s / self.dt_s).round() as usize)
-    }
-}
-
-impl fmt::Display for TransientConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "transient {:.2} µs @ dt {:.1} ps ({} steps)",
-            self.duration_s * 1e6,
-            self.dt_s * 1e12,
-            self.step_count()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,45 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn per_cycle_config() {
-        let cfg = TransientConfig::per_cycle(750e6, 16, 4096);
-        assert_eq!(cfg.step_count(), 16 * 4096);
-        assert!((cfg.dt_s - 1.0 / 750e6 / 16.0).abs() < 1e-20);
-    }
-
-    #[test]
-    fn per_cycle_step_count_is_exact_at_awkward_frequencies() {
-        // 1/3 GHz: neither the period nor dt is representable, and the
-        // rounded float quotient can land on the wrong integer. The
-        // count must come from the integers that built the config.
-        for (hz, spc, cycles) in [
-            (1e9 / 3.0, 12usize, 1_000_003usize),
-            (1e9 / 3.0, 7, 999_999),
-            (333_333_333.0, 13, 131_071),
-            (1e9 / 7.0, 11, 1 << 20),
-        ] {
-            let cfg = TransientConfig::per_cycle(hz, spc, cycles);
-            assert_eq!(cfg.step_count(), spc * cycles, "{hz} Hz {spc}×{cycles}");
-        }
-    }
-
-    #[test]
-    fn from_durations_rounds() {
-        let cfg = TransientConfig::from_durations(1e-9, 1e-6);
-        assert_eq!(cfg.step_count(), 1000);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one step")]
-    fn zero_steps_panics() {
-        let _ = TransientConfig::per_cycle(1e6, 0, 10);
-    }
-
-    #[test]
     fn displays() {
         assert!(Clock::new(750e6).to_string().contains("750.000 MHz"));
-        assert!(TransientConfig::per_cycle(1e6, 10, 100)
-            .to_string()
-            .contains("steps"));
     }
 }

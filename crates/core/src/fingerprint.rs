@@ -91,9 +91,17 @@ fn golden_digest() -> Result<u64, CoreError> {
 /// stays sub-millisecond territory.
 const GOLDEN_SAMPLES: usize = 1024;
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// The standard 64-bit FNV-1a offset basis.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fnv1a64(data: &[u8], basis: u64) -> u64 {
+/// 64-bit FNV-1a over `data`, starting from `basis`.
+///
+/// The workspace's one non-cryptographic digest: the fingerprint, job
+/// keys, cache-artifact and journal checksums, wire attestation and the
+/// golden fixtures all use it, each from its own basis so no digest can
+/// stand in for another. Chaining is explicit: feeding the result of one
+/// call as the `basis` of the next digests the concatenation.
+pub fn fnv1a64(data: &[u8], basis: u64) -> u64 {
     let mut hash = basis;
     for &b in data {
         hash ^= b as u64;

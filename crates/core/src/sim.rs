@@ -489,10 +489,11 @@ impl AdcSimulator {
             dac_table.extend_from_slice(&drives_n);
         }
 
-        // Hoisted per-step constants. The expression shapes mirror
-        // `SummingNode::advance` term by term (sum order, division vs
-        // reciprocal) so the SoA engine is bit-identical to stepping the
-        // node objects: `gsum = 0 + g_in + g_dac`, `τ = (1/gsum)·C`,
+        // Hoisted per-step constants. The expression shapes mirror the
+        // scalar referee's `SummingNode::advance` (tests/scalar_reference.rs)
+        // term by term (sum order, division vs reciprocal) so the SoA
+        // engine is bit-identical to stepping node objects:
+        // `gsum = 0 + g_in + g_dac`, `τ = (1/gsum)·C`,
         // `a = exp(−dt/τ)`, `σ² = kT/C·(1−a²)`.
         let thermal = spec.thermal_noise && node_cap > 0.0;
         let g_in = 1.0 / spec.rin_ohm;

@@ -20,6 +20,7 @@
 //! and paste the output into `GOLDEN` / `LAYOUT_GOLDEN` below, noting the change in
 //! CHANGELOG.md. Never regenerate to paper over an unexplained diff.
 
+use tdsigma_core::fingerprint::{fnv1a64, FNV_BASIS};
 use tdsigma_core::netgen;
 use tdsigma_core::sim::AdcSimulator;
 use tdsigma_core::spec::AdcSpec;
@@ -47,14 +48,13 @@ layout 40nm def=b14340c93ed14ce0 hpwl=15463620 naive_hpwl=8539440 naive_rail_sho
 layout 180nm def=3a0bd7197df971c7 hpwl=66489090 naive_hpwl=34778070 naive_rail_shorts=865
 ";
 
-/// FNV-1a over a byte stream — keep in sync with `golden_probe`.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// FNV-1a over the little-endian bit patterns of `values` (chained, so
+/// equal to one pass over the concatenated bytes) — keep in sync
+/// with `golden_probe`.
+fn digest_f64s(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .fold(FNV_BASIS, |h, v| fnv1a64(&v.to_bits().to_le_bytes(), h))
 }
 
 fn golden_line(node: &str, spec: &AdcSpec, seed: u64, scratch: &mut SpectrumScratch) -> String {
@@ -66,10 +66,10 @@ fn golden_line(node: &str, spec: &AdcSpec, seed: u64, scratch: &mut SpectrumScra
     let amp = 0.79 * spec.full_scale_v();
     let mut sim = AdcSimulator::new(spec).expect("sim");
     let cap = sim.run_tone(fin, amp, n);
-    let out_sum = fnv1a(cap.output.iter().flat_map(|v| v.to_bits().to_le_bytes()));
-    let code_sum = fnv1a(cap.slice_codes.iter().copied());
+    let out_sum = digest_f64s(&cap.output);
+    let code_sum = fnv1a64(&cap.slice_codes, FNV_BASIS);
     let psd = cap.spectrum_with(Window::Hann, scratch);
-    let psd_sum = fnv1a(psd.powers().iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    let psd_sum = digest_f64s(psd.powers());
     let a = &cap.activity;
     format!(
         "{node} seed={seed} output={out_sum:016x} codes={code_sum:016x} \
@@ -99,7 +99,7 @@ fn layout_golden_line(node: &str, spec: &AdcSpec) -> String {
     let naive = synthesize_naive(&flat, &spec.tech, &apr).expect("naive APR");
     format!(
         "layout {node} def={:016x} hpwl={} naive_hpwl={} naive_rail_shorts={}",
-        fnv1a(def.bytes()),
+        fnv1a64(def.as_bytes(), FNV_BASIS),
         pd.placement.hpwl_nm,
         naive.placement.hpwl_nm,
         naive.checks.rail_conflicts(),

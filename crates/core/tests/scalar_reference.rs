@@ -19,16 +19,141 @@
 use std::f64::consts::PI;
 use tdsigma_circuit::comparator::ComparatorParams;
 use tdsigma_circuit::mismatch::MismatchModel;
-use tdsigma_circuit::network::{BranchId, SummingNode};
 use tdsigma_circuit::noise::SimRng;
 use tdsigma_circuit::transient::{Clock, EdgeKind};
-use tdsigma_circuit::vco::{RingVco, VcoParams};
+use tdsigma_circuit::vco::VcoParams;
 use tdsigma_circuit::ClockedComparator;
 use tdsigma_core::netgen;
 use tdsigma_core::sim::{AdcSimulator, ComparatorFlavor};
 use tdsigma_core::spec::AdcSpec;
 use tdsigma_layout::{synthesize, AprOptions};
 use tdsigma_netlist::PowerPlan;
+
+/// Index of a branch added to a [`SummingNode`].
+#[derive(Clone, Copy)]
+struct BranchId(usize);
+
+/// One resistive branch: a resistor from the node to a driven voltage.
+struct Branch {
+    resistance_ohm: f64,
+    drive_v: f64,
+}
+
+/// A V_CTRL node: resistors summing currents into a capacitance, solved
+/// exactly (first-order exponential step) with optional `kT/C` noise.
+/// The SoA engine hoists these expressions; they are kept term for term
+/// (sum order, division vs reciprocal) as the bit-exact reference.
+struct SummingNode {
+    branches: Vec<Branch>,
+    cap_f: f64,
+    v: f64,
+    thermal_noise: bool,
+}
+
+impl SummingNode {
+    fn new(cap_f: f64, initial_v: f64) -> Self {
+        SummingNode {
+            branches: Vec::new(),
+            cap_f,
+            v: initial_v,
+            thermal_noise: false,
+        }
+    }
+
+    fn with_thermal_noise(mut self) -> Self {
+        self.thermal_noise = true;
+        self
+    }
+
+    fn add_branch(&mut self, resistance_ohm: f64, drive_v: f64) -> BranchId {
+        self.branches.push(Branch {
+            resistance_ohm,
+            drive_v,
+        });
+        BranchId(self.branches.len() - 1)
+    }
+
+    fn set_drive(&mut self, id: BranchId, drive_v: f64) {
+        self.branches[id.0].drive_v = drive_v;
+    }
+
+    fn advance(&mut self, dt_s: f64, rng: &mut SimRng) {
+        let gsum: f64 = self.branches.iter().map(|b| 1.0 / b.resistance_ohm).sum();
+        let isum: f64 = self
+            .branches
+            .iter()
+            .map(|b| b.drive_v / b.resistance_ohm)
+            .sum();
+        let target = isum / gsum;
+        let tau = if self.cap_f == 0.0 {
+            0.0
+        } else {
+            (1.0 / gsum) * self.cap_f
+        };
+        if tau == 0.0 {
+            self.v = target;
+            return;
+        }
+        let a = (-dt_s / tau).exp();
+        self.v = target + (self.v - target) * a;
+        if self.thermal_noise {
+            // Discretised Ornstein-Uhlenbeck: stationary variance kT/C.
+            let kt_over_c = tdsigma_tech::units::BOLTZMANN
+                * tdsigma_tech::units::NOMINAL_TEMPERATURE_K
+                / self.cap_f;
+            let sigma = (kt_over_c * (1.0 - a * a)).sqrt();
+            self.v += rng.gaussian(sigma);
+        }
+    }
+
+    fn voltage(&self) -> f64 {
+        self.v
+    }
+}
+
+/// A ring VCO as a phase-domain integrator:
+/// `dφ/dt = 2π · (f0·(1 + δ) + K_vco·(V_ctrl − V_cm))` plus white FM.
+struct RingVco {
+    params: VcoParams,
+    /// Per-instance relative centre-frequency error (mismatch draw).
+    delta: f64,
+    /// Absolute phase in radians (unwrapped).
+    phase: f64,
+}
+
+impl RingVco {
+    fn with_mismatch(
+        params: VcoParams,
+        model: &MismatchModel,
+        rng: &mut SimRng,
+        initial_phase: f64,
+    ) -> Self {
+        RingVco {
+            params: params.validated(),
+            delta: model.draw(rng),
+            phase: initial_phase,
+        }
+    }
+
+    fn phase(&self) -> f64 {
+        self.phase
+    }
+
+    fn frequency_hz(&self, vctrl_v: f64) -> f64 {
+        (self.params.f0_hz * (1.0 + self.delta)
+            + self.params.kvco_hz_per_v * (vctrl_v - self.params.vcm_v))
+            .max(0.0) // an inverter ring cannot oscillate backwards
+    }
+
+    fn advance(&mut self, dt_s: f64, vctrl_v: f64, rng: &mut SimRng) {
+        let mut f = self.frequency_hz(vctrl_v);
+        if self.params.phase_noise_per_sqrt_hz > 0.0 {
+            let sigma_f = self.params.phase_noise_per_sqrt_hz * self.params.f0_hz / dt_s.sqrt();
+            f += rng.gaussian(sigma_f);
+        }
+        self.phase += 2.0 * PI * f * dt_s;
+    }
+}
 
 struct RefSlice {
     node_p: SummingNode,
@@ -295,4 +420,199 @@ fn soa_engine_matches_scalar_reference_with_parasitics() {
         .total_capacitance_where(|n| n.contains("VCTRL"));
     let mut soa = AdcSimulator::with_parasitics(spec.clone(), &layout.parasitics).unwrap();
     assert_equivalent(spec, vctrl / 2.0, &mut soa, 1024);
+}
+
+// Physics checks on the reference components themselves: the SoA engine
+// is proven equal to `RefSim`, so these pin what both of them compute.
+
+#[test]
+fn divider_settles_to_weighted_mean() {
+    let mut rng = SimRng::new(0);
+    let mut node = SummingNode::new(0.0, 0.0);
+    node.add_branch(1_000.0, 1.0);
+    node.add_branch(1_000.0, 0.0);
+    node.advance(1e-9, &mut rng);
+    assert!((node.voltage() - 0.5).abs() < 1e-12);
+}
+
+#[test]
+fn asymmetric_divider() {
+    let mut rng = SimRng::new(0);
+    let mut node = SummingNode::new(0.0, 0.0);
+    node.add_branch(1_000.0, 1.2); // strong pull to 1.2 V
+    node.add_branch(11_000.0, 0.0); // weak pull to ground
+    node.advance(1e-9, &mut rng);
+    // v = 1.2·(1/1k) / (1/1k + 1/11k) = 1.2·11/12 = 1.1
+    assert!((node.voltage() - 1.1).abs() < 1e-9);
+}
+
+#[test]
+fn rc_settling_follows_exponential() {
+    let mut rng = SimRng::new(0);
+    let mut node = SummingNode::new(1e-12, 0.0); // 1 pF
+    node.add_branch(1_000.0, 1.0); // tau = 1 ns
+    node.advance(1e-9, &mut rng); // one tau
+    let expected = 1.0 - (-1.0f64).exp();
+    assert!((node.voltage() - expected).abs() < 1e-9);
+}
+
+#[test]
+fn exponential_step_is_exact_regardless_of_dt() {
+    // Settling over 5 ns must give the same result in 1 or 100 steps.
+    let run = |steps: usize| {
+        let mut rng = SimRng::new(0);
+        let mut node = SummingNode::new(1e-12, 0.2);
+        node.add_branch(2_000.0, 0.8);
+        let dt = 5e-9 / steps as f64;
+        for _ in 0..steps {
+            node.advance(dt, &mut rng);
+        }
+        node.voltage()
+    };
+    assert!((run(1) - run(100)).abs() < 1e-12);
+}
+
+#[test]
+fn drive_update_moves_target() {
+    let mut rng = SimRng::new(0);
+    let mut node = SummingNode::new(0.0, 0.0);
+    let _in = node.add_branch(11_000.0, 0.5);
+    let dac = node.add_branch(1_000.0, 1.1);
+    node.advance(1e-9, &mut rng);
+    let v_high = node.voltage();
+    node.set_drive(dac, 0.0);
+    node.advance(1e-9, &mut rng);
+    let v_low = node.voltage();
+    assert!(v_high > v_low + 0.5, "DAC flip must move the node");
+}
+
+#[test]
+fn thermal_noise_variance_is_kt_over_c() {
+    let cap = 1e-15; // 1 fF → kT/C ≈ (64 µV)²
+    let mut rng = SimRng::new(5);
+    let mut node = SummingNode::new(cap, 0.5).with_thermal_noise();
+    node.add_branch(10_000.0, 0.5);
+    let tau = 10_000.0 * cap;
+    // Sample well past the correlation time.
+    let mut values = Vec::new();
+    for _ in 0..20_000 {
+        node.advance(3.0 * tau, &mut rng);
+        values.push(node.voltage());
+    }
+    let mean = values.iter().sum::<f64>() / values.len() as f64;
+    let var = values.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / values.len() as f64;
+    let expected = tdsigma_tech::units::BOLTZMANN * 300.0 / cap;
+    assert!(
+        (var / expected - 1.0).abs() < 0.1,
+        "kT/C variance: got {var}, expected {expected}"
+    );
+}
+
+fn vco_params() -> VcoParams {
+    VcoParams {
+        f0_hz: 100e6,
+        kvco_hz_per_v: 50e6,
+        vcm_v: 0.5,
+        n_stages: 4,
+        phase_noise_per_sqrt_hz: 0.0,
+    }
+}
+
+/// A VCO with a chosen mismatch `delta` instead of a drawn one.
+fn vco(params: VcoParams, delta: f64) -> RingVco {
+    RingVco {
+        params: params.validated(),
+        delta,
+        phase: 0.0,
+    }
+}
+
+#[test]
+fn phase_integrates_frequency() {
+    let mut rng = SimRng::new(0);
+    let mut vco = vco(vco_params(), 0.0);
+    let dt = 1e-10;
+    for _ in 0..10_000 {
+        vco.advance(dt, 0.5, &mut rng); // at vcm → f0 exactly
+    }
+    let expected = 2.0 * PI * 100e6 * dt * 10_000.0;
+    assert!((vco.phase() - expected).abs() / expected < 1e-12);
+}
+
+#[test]
+fn phase_tracks_control_voltage() {
+    let mut rng = SimRng::new(1);
+    let mut vco = vco(
+        VcoParams {
+            f0_hz: 150e6,
+            kvco_hz_per_v: 500e6,
+            vcm_v: 0.55,
+            ..vco_params()
+        },
+        0.0,
+    );
+    // Integrate 100 ns at 50 mV above the nominal control voltage:
+    for _ in 0..1000 {
+        vco.advance(100e-12, 0.6, &mut rng);
+    }
+    // φ = 2π · (150 MHz + 0.05 V · 500 MHz/V) · 100 ns = 2π · 17.5 rad.
+    assert!((vco.phase() / (2.0 * PI) - 17.5).abs() < 1e-9);
+}
+
+#[test]
+fn kvco_tunes_frequency() {
+    let vco = vco(vco_params(), 0.0);
+    assert_eq!(vco.frequency_hz(0.5), 100e6);
+    assert_eq!(vco.frequency_hz(0.7), 110e6);
+    assert_eq!(vco.frequency_hz(0.3), 90e6);
+}
+
+#[test]
+fn frequency_clamped_at_zero() {
+    let vco = vco(vco_params(), 0.0);
+    assert_eq!(vco.frequency_hz(-10.0), 0.0);
+}
+
+#[test]
+fn mismatch_shifts_f0() {
+    let vco = vco(vco_params(), 0.02);
+    assert!((vco.frequency_hz(0.5) - 102e6).abs() < 1.0);
+}
+
+#[test]
+fn phase_noise_diffuses_phase() {
+    let mut p = vco_params();
+    p.phase_noise_per_sqrt_hz = 1e-6;
+    let dt = 1e-10;
+    let steps = 20_000;
+    let mut final_phases = Vec::new();
+    for seed in 0..20 {
+        let mut rng = SimRng::new(seed);
+        let mut vco = vco(p, 0.0);
+        for _ in 0..steps {
+            vco.advance(dt, 0.5, &mut rng);
+        }
+        final_phases.push(vco.phase());
+    }
+    let mean = final_phases.iter().sum::<f64>() / final_phases.len() as f64;
+    let var = final_phases
+        .iter()
+        .map(|x| (x - mean) * (x - mean))
+        .sum::<f64>()
+        / final_phases.len() as f64;
+    assert!(var > 0.0, "phase noise must randomise the walk");
+    // Deterministic part still dominates.
+    let ideal = 2.0 * PI * 100e6 * dt * steps as f64;
+    assert!((mean - ideal).abs() / ideal < 0.01);
+}
+
+#[test]
+fn with_mismatch_is_reproducible() {
+    let model = MismatchModel::new(0.02);
+    let mut rng1 = SimRng::new(11);
+    let mut rng2 = SimRng::new(11);
+    let a = RingVco::with_mismatch(vco_params(), &model, &mut rng1, 0.0);
+    let b = RingVco::with_mismatch(vco_params(), &model, &mut rng2, 0.0);
+    assert_eq!(a.delta, b.delta);
+    assert!(a.delta != 0.0);
 }

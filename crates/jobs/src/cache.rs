@@ -8,9 +8,12 @@
 //! re-running a whole sweep near-free.
 //!
 //! **Corruption is a defined state, not undefined behavior.** Every
-//! artifact carries a `crc64:` trailer (FNV-1a over the report line); an
-//! artifact that is unreadable, unparsable, checksum-mismatched, or filed
-//! under the wrong key is **quarantined** — renamed to
+//! artifact is exactly two lines: the report, then a `crc64:<16 hex>
+//! fp:<fingerprint>` trailer. The `crc64` token is a historical name kept
+//! because it is format bytes; the checksum is FNV-1a over the report
+//! line. An artifact that is unreadable, unparsable, missing or failing
+//! its checksum, lacking the fingerprint stamp, or filed under the wrong
+//! key is **quarantined** — renamed to
 //! `<key>.json.quarantine`, counted (see [`ResultCache::quarantined`]),
 //! and treated as a miss so the job recomputes. Quarantined files are
 //! never read back: lookups only ever open `<key>.json`.
@@ -23,14 +26,11 @@
 //! stamp does not match this process is **demoted** to the `stale/`
 //! tier — moved to `<dir>/stale/<key>.json`, counted (see
 //! [`ResultCache::stale`]), reported as a miss, and never replayed.
-//! Unstamped artifacts from the pre-checksum era are quarantined
-//! outright (counted separately, see [`ResultCache::legacy_rejected`]):
-//! with no checksum there is nothing to trust. `tdsigma cache
-//! stats|scrub` ([`ResultCache::inspect`], [`ResultCache::scrub`])
-//! inventory and prune both tiers.
+//! `tdsigma cache stats|scrub` ([`ResultCache::inspect`],
+//! [`ResultCache::scrub`]) inventory and prune both tiers.
 
 use crate::error::JobError;
-use crate::faults::{fnv1a64, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::report::JobReport;
 use std::collections::HashMap;
 use std::fs;
@@ -38,10 +38,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tdsigma_core::engine_fingerprint;
+use tdsigma_core::fingerprint::fnv1a64;
 
-/// Basis for artifact checksums (distinct from the job-key bases so a
-/// key can never masquerade as its own checksum).
-const CRC_BASIS: u64 = 0x6c62_272e_07bb_0142;
+/// FNV-1a basis for artifact checksums (distinct from the job-key bases
+/// so a key can never masquerade as its own checksum).
+const ARTIFACT_FNV_BASIS: u64 = 0x6c62_272e_07bb_0142;
 
 /// Subdirectory where artifacts stamped by a different engine
 /// fingerprint are demoted. Kept (not deleted) so an operator can roll
@@ -67,7 +68,6 @@ pub struct ResultCache {
     dir: Option<PathBuf>,
     quarantined: AtomicUsize,
     stale: AtomicUsize,
-    legacy_rejected: AtomicUsize,
     quarantine_pruned: usize,
     stale_pruned: usize,
     faults: FaultPlan,
@@ -82,7 +82,6 @@ impl ResultCache {
             dir: None,
             quarantined: AtomicUsize::new(0),
             stale: AtomicUsize::new(0),
-            legacy_rejected: AtomicUsize::new(0),
             quarantine_pruned: 0,
             stale_pruned: 0,
             faults: FaultPlan::none(),
@@ -110,7 +109,6 @@ impl ResultCache {
             dir: Some(dir),
             quarantined: AtomicUsize::new(0),
             stale: AtomicUsize::new(0),
-            legacy_rejected: AtomicUsize::new(0),
             quarantine_pruned,
             stale_pruned,
             faults: FaultPlan::none(),
@@ -153,12 +151,6 @@ impl ResultCache {
         self.stale.load(Ordering::SeqCst)
     }
 
-    /// Pre-checksum (unstamped, unchecksummed) artifacts rejected and
-    /// quarantined over this cache's lifetime.
-    pub fn legacy_rejected(&self) -> usize {
-        self.legacy_rejected.load(Ordering::SeqCst)
-    }
-
     /// Stale `.quarantine` files removed when this cache was opened.
     pub fn quarantine_pruned(&self) -> usize {
         self.quarantine_pruned
@@ -170,11 +162,10 @@ impl ResultCache {
     }
 
     /// Looks up a result by job key: memory first, then disk (a disk hit
-    /// is promoted into memory). A corrupt disk artifact is quarantined,
-    /// a pre-checksum one is rejected into quarantine, and one stamped by
-    /// a different engine fingerprint is demoted to `stale/` — all three
-    /// report as a miss, so damage and skew degrade to recomputation,
-    /// never to a wrong answer or an aborted batch.
+    /// is promoted into memory). A corrupt disk artifact is quarantined
+    /// and one stamped by a different engine fingerprint is demoted to
+    /// `stale/` — both report as a miss, so damage and skew degrade to
+    /// recomputation, never to a wrong answer or an aborted batch.
     pub fn get(&self, key: &str) -> Option<JobReport> {
         if let Some(hit) = self.mem.lock().expect("cache lock").get(key) {
             return Some(hit.clone());
@@ -196,12 +187,6 @@ impl ResultCache {
                     tdsigma_obs::event("cache.corrupt", &[("reason", reason.to_string())]);
                 }
                 self.quarantine(&path);
-                return None;
-            }
-            Err(ArtifactIssue::Legacy) => {
-                self.quarantine(&path);
-                self.legacy_rejected.fetch_add(1, Ordering::SeqCst);
-                tdsigma_obs::counter("jobs.cache_legacy_rejected").inc();
                 return None;
             }
             Err(ArtifactIssue::Stale { stamped }) => {
@@ -467,7 +452,7 @@ fn classify_artifact(path: &Path, key: &str, fingerprint: &str) -> ArtifactClass
     match parse_artifact(&text, key, fingerprint) {
         Ok(_) => ArtifactClass::Fresh,
         Err(ArtifactIssue::Stale { .. }) => ArtifactClass::Mismatched,
-        Err(ArtifactIssue::Corrupt(_) | ArtifactIssue::Legacy) => ArtifactClass::Suspect,
+        Err(ArtifactIssue::Corrupt(_)) => ArtifactClass::Suspect,
     }
 }
 
@@ -613,20 +598,16 @@ fn prune_oldest(dir: &Path, retain: usize, suffix: &str, counter: &str, event: &
 }
 
 /// Why an artifact was refused, and therefore where it goes: corrupt
-/// and legacy artifacts are quarantined, stale ones are demoted.
+/// artifacts are quarantined, stale ones are demoted.
 #[derive(Debug)]
 enum ArtifactIssue {
-    /// Unparsable, checksum-mismatched, or filed under the wrong key.
+    /// Unparsable, missing or failing its checksum, unstamped, or filed
+    /// under the wrong key.
     Corrupt(JobError),
-    /// Pre-checksum single-line format: parses, but nothing vouches for
-    /// the bytes or the engine that wrote them.
-    Legacy,
     /// Intact (checksum verified) but stamped by a different engine
-    /// fingerprint — or by none, for the checksummed-but-unstamped
-    /// interim format.
+    /// fingerprint.
     Stale {
-        /// The fingerprint the artifact carries (`"unknown"` if the
-        /// trailer predates stamping).
+        /// The fingerprint the artifact carries.
         stamped: String,
     },
 }
@@ -641,42 +622,26 @@ impl From<JobError> for ArtifactIssue {
 /// engine-fingerprint trailer.
 fn artifact_text(report: &JobReport, fingerprint: &str) -> String {
     let line = report.to_text();
-    let crc = fnv1a64(line.as_bytes(), CRC_BASIS);
+    let crc = fnv1a64(line.as_bytes(), ARTIFACT_FNV_BASIS);
     format!("{line}\ncrc64:{crc:016x} fp:{fingerprint}\n")
 }
 
-/// Parses and verifies one artifact against `fingerprint`,
-/// distinguishing the three refusal states (see [`ArtifactIssue`]).
-/// Note the checksum is verified *before* the fingerprint: a stale
-/// classification is a statement about intact bytes.
+/// Parses and verifies one artifact against `fingerprint`. The only
+/// accepted shape is `<report line>\ncrc64:<16 hex> fp:<fp>\n`; anything
+/// else is [`ArtifactIssue::Corrupt`]. The checksum is verified *before*
+/// the fingerprint: a stale classification is a statement about intact
+/// bytes.
 fn parse_artifact(text: &str, key: &str, fingerprint: &str) -> Result<JobReport, ArtifactIssue> {
-    let mut lines = text.lines();
-    let line = lines
-        .next()
-        .ok_or_else(|| JobError::Invalid("empty artifact".into()))?;
-    let Some(trailer) = lines.next() else {
-        // Single-line pre-checksum format. It must still parse and
-        // carry the right key to count as legacy rather than corrupt.
-        let report = JobReport::from_text(line)?;
-        if report.key != key {
-            return Err(misfiled(key, &report.key).into());
-        }
-        return Err(ArtifactIssue::Legacy);
-    };
-    let body = trailer
+    let (line, trailer) = text
+        .strip_suffix('\n')
+        .and_then(|t| t.split_once('\n'))
+        .filter(|(_, trailer)| !trailer.contains('\n'))
+        .ok_or_else(|| JobError::Invalid("artifact is not a report line plus trailer".into()))?;
+    let (stated, stamped) = trailer
         .strip_prefix("crc64:")
-        .ok_or_else(|| JobError::Invalid(format!("malformed checksum trailer {trailer:?}")))?;
-    let (stated, stamped) = match body.split_once(' ') {
-        Some((crc, rest)) => {
-            let fp = rest.strip_prefix("fp:").ok_or_else(|| {
-                JobError::Invalid(format!("malformed fingerprint stamp {rest:?}"))
-            })?;
-            (crc, Some(fp))
-        }
-        // Checksummed-but-unstamped interim format (PRs 3–8).
-        None => (body, None),
-    };
-    let actual = format!("{:016x}", fnv1a64(line.as_bytes(), CRC_BASIS));
+        .and_then(|body| body.split_once(" fp:"))
+        .ok_or_else(|| JobError::Invalid(format!("malformed trailer {trailer:?}")))?;
+    let actual = format!("{:016x}", fnv1a64(line.as_bytes(), ARTIFACT_FNV_BASIS));
     if stated != actual {
         return Err(JobError::Invalid(format!(
             "checksum mismatch: artifact says {stated}, content hashes to {actual}"
@@ -689,15 +654,12 @@ fn parse_artifact(text: &str, key: &str, fingerprint: &str) -> Result<JobReport,
     if report.key != key {
         return Err(misfiled(key, &report.key).into());
     }
-    match stamped {
-        Some(fp) if fp == fingerprint => Ok(report),
-        Some(fp) => Err(ArtifactIssue::Stale {
-            stamped: fp.to_string(),
-        }),
-        None => Err(ArtifactIssue::Stale {
-            stamped: "unknown".to_string(),
-        }),
+    if stamped != fingerprint {
+        return Err(ArtifactIssue::Stale {
+            stamped: stamped.to_string(),
+        });
     }
+    Ok(report)
 }
 
 fn misfiled(key: &str, reported: &str) -> JobError {
@@ -805,6 +767,21 @@ mod tests {
         let again = ResultCache::with_disk(&dir).unwrap();
         assert_eq!(again.get(&key).unwrap().sndr_db, 68.5);
         assert_eq!(again.quarantined(), 0);
+
+        // Older shapes are corrupt too, never trusted or demoted: the
+        // single-line report with no trailer, and a checksummed trailer
+        // with no fingerprint stamp (both parse and carry the right key).
+        let line = report_for(&job).to_text();
+        let crc = fnv1a64(line.as_bytes(), ARTIFACT_FNV_BASIS);
+        for text in [format!("{line}\n"), format!("{line}\ncrc64:{crc:016x}\n")] {
+            let _ = fs::remove_file(dir.join(format!("{key}.json.quarantine")));
+            fs::write(&path, &text).unwrap();
+            let cache = ResultCache::with_disk(&dir).unwrap();
+            assert!(cache.get(&key).is_none(), "{text:?} must miss");
+            assert_eq!(cache.quarantined(), 1, "{text:?} must be quarantined");
+            assert_eq!(cache.stale(), 0, "{text:?} must not be demoted");
+            assert!(!path.exists());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -825,30 +802,6 @@ mod tests {
         let fresh = ResultCache::with_disk(&dir).unwrap();
         assert!(fresh.get(&job.key()).is_none(), "bit damage must miss");
         assert_eq!(fresh.quarantined(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_checksum_less_artifacts_are_rejected() {
-        let dir = temp_dir("legacy");
-        let job = Job::sim(40.0, 750e6, 5e6);
-        let report = report_for(&job);
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}.json", job.key()));
-        fs::write(&path, report.to_text() + "\n").unwrap();
-        let cache = ResultCache::with_disk(&dir).unwrap();
-        // PR 2's single-line format has no checksum and no fingerprint:
-        // nothing vouches for the bytes, so it is quarantined — and
-        // counted on its own counter, distinct from corruption.
-        assert!(
-            cache.get(&job.key()).is_none(),
-            "unchecksummed artifact must not be trusted"
-        );
-        assert_eq!(cache.legacy_rejected(), 1);
-        assert_eq!(cache.quarantined(), 1, "rejection lands in quarantine");
-        assert_eq!(cache.stale(), 0);
-        assert!(!path.exists(), "rejected file must be moved aside");
-        assert!(path.with_extension("json.quarantine").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -889,33 +842,11 @@ mod tests {
     }
 
     #[test]
-    fn checksummed_but_unstamped_artifact_is_demoted() {
-        // The interim format (crc trailer, no fp stamp) verifies but
-        // cannot prove which engine wrote it: demote, don't quarantine.
-        let dir = temp_dir("interim");
-        let job = Job::sim(40.0, 750e6, 5e6);
-        let report = report_for(&job);
-        fs::create_dir_all(&dir).unwrap();
-        let line = report.to_text();
-        let crc = fnv1a64(line.as_bytes(), CRC_BASIS);
-        fs::write(
-            dir.join(format!("{}.json", job.key())),
-            format!("{line}\ncrc64:{crc:016x}\n"),
-        )
-        .unwrap();
-        let cache = ResultCache::with_disk(&dir).unwrap();
-        assert!(cache.get(&job.key()).is_none());
-        assert_eq!(cache.stale(), 1);
-        assert_eq!(cache.quarantined(), 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn inspect_and_scrub_inventory_and_prune() {
         let dir = temp_dir("scrub");
         let fresh_job = Job::sim(40.0, 750e6, 5e6);
         let foreign_job = Job::sim(40.0, 750e6, 4e6);
-        let legacy_job = Job::sim(40.0, 750e6, 3e6);
+        let suspect_job = Job::sim(40.0, 750e6, 3e6);
         let cache = ResultCache::with_disk(&dir).unwrap();
         cache.put(&report_for(&fresh_job)).unwrap();
         ResultCache::with_disk(&dir)
@@ -924,8 +855,8 @@ mod tests {
             .put(&report_for(&foreign_job))
             .unwrap();
         fs::write(
-            dir.join(format!("{}.json", legacy_job.key())),
-            report_for(&legacy_job).to_text() + "\n",
+            dir.join(format!("{}.json", suspect_job.key())),
+            report_for(&suspect_job).to_text() + "\n",
         )
         .unwrap();
         fs::create_dir_all(dir.join(STALE_DIR)).unwrap();

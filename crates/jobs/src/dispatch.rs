@@ -31,7 +31,8 @@
 //!    produced nothing within `hedge_ms`, the same job is also sent to
 //!    the next admitted backend and the first answer wins. Safe because
 //!    jobs are deterministic and cached: a duplicate execution wastes
-//!    cycles, never correctness.
+//!    cycles, never correctness. Hedging is a latency tool only; the
+//!    losing answer is discarded unread.
 //! 5. **Local fallback.** When every backend is down or skipped, the
 //!    job runs in-process on the wrapped local runner. A sweep never
 //!    fails solely because the fleet did; the degradation is counted
@@ -46,15 +47,15 @@
 //!    disagrees with the local recomputation is **integrity-quarantined**
 //!    (excluded for the rest of the run, never re-probed — unlike a
 //!    breaker, there is no recovering from lying) and the verified
-//!    bytes win. Hedged duplicates that both complete are cross-checked
-//!    the same way for free.
+//!    bytes win. This is the only path into integrity quarantine.
 //!
 //! Per-backend instrumentation lands in `tdsigma-obs` under
 //! `dispatch.<addr>.…`: `dispatched`/`failed`/`retried`/`hedged`/
-//! `integrity_failures` counters, a `breaker` gauge (0 = closed,
-//! 1 = half-open, 2 = open) and an `rtt` histogram.
-//! [`Dispatcher::summary`] snapshots the same numbers for end-of-sweep
-//! reporting.
+//! `shed_deferred`/`version_skew`/`integrity_failures` counters, a
+//! `breaker` gauge (0 = closed, 1 = half-open, 2 = open) and an `rtt`
+//! histogram. The handles are registered once per backend when the
+//! dispatcher is built; [`Dispatcher::summary`] reads the same handles
+//! for end-of-sweep reporting.
 
 use crate::error::JobError;
 use crate::faults::{FaultPlan, VERIFY_BASIS};
@@ -68,6 +69,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+use tdsigma_core::fingerprint::fnv1a64;
+use tdsigma_obs::{Counter, Gauge, Histogram};
 
 /// Whole milliseconds elapsed since `start` (saturating u64 cast).
 fn elapsed_ms(start: Instant) -> u64 {
@@ -235,10 +238,43 @@ pub struct DispatchConfig {
     pub verify_permille: u16,
 }
 
+/// One backend's metric handles under `dispatch.<addr>.…`. Every name
+/// is built here, in [`BackendMetrics::register`], and nowhere else;
+/// the dispatch path and `summary()` use the handles.
+struct BackendMetrics {
+    dispatched: Arc<Counter>,
+    failed: Arc<Counter>,
+    retried: Arc<Counter>,
+    hedged: Arc<Counter>,
+    shed_deferred: Arc<Counter>,
+    version_skew: Arc<Counter>,
+    integrity_failures: Arc<Counter>,
+    breaker: Arc<Gauge>,
+    rtt: Arc<Histogram>,
+}
+
+impl BackendMetrics {
+    fn register(addr: &str) -> Self {
+        let counter = |what: &str| tdsigma_obs::counter(&format!("dispatch.{addr}.{what}"));
+        BackendMetrics {
+            dispatched: counter("dispatched"),
+            failed: counter("failed"),
+            retried: counter("retried"),
+            hedged: counter("hedged"),
+            shed_deferred: counter("shed_deferred"),
+            version_skew: counter("version_skew"),
+            integrity_failures: counter("integrity_failures"),
+            breaker: tdsigma_obs::gauge(&format!("dispatch.{addr}.breaker")),
+            rtt: tdsigma_obs::histogram(&format!("dispatch.{addr}.rtt")),
+        }
+    }
+}
+
 /// One backend plus its breaker and instrumentation.
 struct Backend {
     client: RemoteClient,
     breaker: CircuitBreaker,
+    metrics: BackendMetrics,
     /// Until when a busy/shed rejection asked us to stay away. Distinct
     /// from the breaker: the backend is healthy, just full, so tripping
     /// Closed→Open (and burning the failure streak) would be wrong.
@@ -259,8 +295,7 @@ struct Backend {
 
 impl Backend {
     fn gauge(&self) {
-        tdsigma_obs::gauge(&format!("dispatch.{}.breaker", self.client.addr()))
-            .set(self.breaker.state().gauge_value());
+        self.metrics.breaker.set(self.breaker.state().gauge_value());
     }
 
     fn skewed(&self) -> bool {
@@ -275,11 +310,7 @@ impl Backend {
     /// with a redundant recomputation. Counted per backend and warned
     /// once on stderr.
     fn mark_integrity_failure(&self) {
-        tdsigma_obs::counter(&format!(
-            "dispatch.{}.integrity_failures",
-            self.client.addr()
-        ))
-        .inc();
+        self.metrics.integrity_failures.inc();
         if !self.integrity_quarantined.swap(true, Ordering::Relaxed) {
             eprintln!(
                 "warning: backend {} integrity-quarantined: its report bytes disagree \
@@ -309,7 +340,7 @@ impl Backend {
     }
 
     fn mark_skewed(&self, theirs: &str) {
-        tdsigma_obs::counter(&format!("dispatch.{}.version_skew", self.client.addr())).inc();
+        self.metrics.version_skew.inc();
         if !self.skewed.swap(true, Ordering::Relaxed) {
             let theirs = if theirs.is_empty() { "unknown" } else { theirs };
             eprintln!(
@@ -341,11 +372,10 @@ impl Backend {
 
     /// One full attempt: counters, RTT, breaker bookkeeping.
     fn attempt(&self, job: &Job, deadline_ms: Option<u64>) -> Result<JobReport, RemoteError> {
-        let addr = self.client.addr();
-        tdsigma_obs::counter(&format!("dispatch.{addr}.dispatched")).inc();
+        self.metrics.dispatched.inc();
         let start = Instant::now();
         let result = self.client.run_job_with_deadline(job, deadline_ms);
-        tdsigma_obs::histogram(&format!("dispatch.{addr}.rtt")).record(start.elapsed());
+        self.metrics.rtt.record(start.elapsed());
         match &result {
             // A job-class rejection means the backend held up its end of
             // the protocol: the breaker records success.
@@ -355,12 +385,12 @@ impl Backend {
             // peer answered), plus a rotation cooldown for as long as
             // it asked to be left alone.
             Err(RemoteError::Busy { retry_after_ms, .. }) => {
-                tdsigma_obs::counter(&format!("dispatch.{addr}.shed_deferred")).inc();
+                self.metrics.shed_deferred.inc();
                 self.set_cooldown(*retry_after_ms);
                 self.breaker.record_success();
             }
             Err(RemoteError::Backend(_)) => {
-                tdsigma_obs::counter(&format!("dispatch.{addr}.failed")).inc();
+                self.metrics.failed.inc();
                 self.breaker.record_failure();
             }
         }
@@ -425,6 +455,7 @@ impl Dispatcher {
                         .with_client_id(client_id.clone())
                         .with_faults(config.faults),
                     breaker: CircuitBreaker::new(config.breaker.clone()),
+                    metrics: BackendMetrics::register(addr),
                     cooldown_until: Mutex::new(None),
                     skewed: AtomicBool::new(false),
                     integrity_quarantined: AtomicBool::new(false),
@@ -635,21 +666,13 @@ impl Dispatcher {
                         }
                         Err(RemoteError::Job(e)) => return RoundOutcome::Done(Box::new(Err(e))),
                         Err(RemoteError::Busy { retry_after_ms, .. }) => {
-                            tdsigma_obs::counter(&format!(
-                                "dispatch.{}.retried",
-                                backend.client.addr()
-                            ))
-                            .inc();
+                            backend.metrics.retried.inc();
                             note_busy(retry_after_ms);
                             continue;
                         }
                         Err(RemoteError::Backend(_)) => {
                             if slot + 1 < candidates.len() {
-                                tdsigma_obs::counter(&format!(
-                                    "dispatch.{}.retried",
-                                    backend.client.addr()
-                                ))
-                                .inc();
+                                backend.metrics.retried.inc();
                             }
                             continue;
                         }
@@ -691,11 +714,7 @@ impl Dispatcher {
     /// Sends the job to `primary`; if no answer lands within `hedge_ms`
     /// and a hedge target was claimed, sends it there too and takes the
     /// first answer. Deterministic jobs make the duplicate execution
-    /// harmless. When *both* attempts happen to complete before the
-    /// loser would be discarded, the two payloads are cross-checked
-    /// byte-for-byte — a redundant verification that cost nothing extra
-    /// — and any disagreement goes through the same local arbitration
-    /// and integrity quarantine as sampled verification.
+    /// harmless.
     fn hedged_attempt(
         &self,
         primary: &Arc<Backend>,
@@ -720,7 +739,7 @@ impl Dispatcher {
             Ok(answer) => answer,
             Err(_) => {
                 if let Some(hedge) = hedge {
-                    tdsigma_obs::counter(&format!("dispatch.{}.hedged", hedge.client.addr())).inc();
+                    hedge.metrics.hedged.inc();
                     spawn(hedge, tx.clone());
                     in_flight += 1;
                 }
@@ -734,23 +753,6 @@ impl Dispatcher {
         // An admitted-but-unneeded hedge was never spawned, so `rx` has
         // at most one more answer. Prefer any success over an error.
         if let Ok(report) = first {
-            if in_flight > 1 {
-                // Opportunistic cross-check: if the losing attempt also
-                // finished, its answer is already in the channel.
-                if let Ok((other_from, Ok(other_report))) = rx.try_recv() {
-                    if other_report.to_text() != report.to_text() {
-                        tdsigma_obs::counter("dispatch.hedge_mismatch").inc();
-                        return Ok(self.arbitrate_pair(
-                            job,
-                            (first_from, report),
-                            (other_from, other_report),
-                        ));
-                    }
-                    // Two independent backends agreeing is a redundant
-                    // verification in its own right.
-                    self.note_verified(&report.key);
-                }
-            }
             return Ok((report, first_from));
         }
         for _ in 1..in_flight {
@@ -822,7 +824,7 @@ impl Dispatcher {
             return report;
         }
         if self.verify_permille < 1000 {
-            let draw = crate::faults::fnv1a64(report.key.as_bytes(), VERIFY_BASIS) % 1000;
+            let draw = fnv1a64(report.key.as_bytes(), VERIFY_BASIS) % 1000;
             if draw >= self.verify_permille as u64 {
                 return report;
             }
@@ -930,18 +932,16 @@ impl Dispatcher {
             .backends
             .iter()
             .map(|b| {
-                let addr = b.client.addr();
-                let get =
-                    |what: &str| tdsigma_obs::counter(&format!("dispatch.{addr}.{what}")).get();
+                let m = &b.metrics;
                 BackendDispatchStats {
-                    addr: addr.to_string(),
-                    dispatched: get("dispatched"),
-                    failed: get("failed"),
-                    retried: get("retried"),
-                    hedged: get("hedged"),
-                    shed_deferred: get("shed_deferred"),
-                    version_skew: get("version_skew"),
-                    integrity_failures: get("integrity_failures"),
+                    addr: b.client.addr().to_string(),
+                    dispatched: m.dispatched.get(),
+                    failed: m.failed.get(),
+                    retried: m.retried.get(),
+                    hedged: m.hedged.get(),
+                    shed_deferred: m.shed_deferred.get(),
+                    version_skew: m.version_skew.get(),
+                    integrity_failures: m.integrity_failures.get(),
                     breaker_open: b.breaker.state() != BreakerState::Closed,
                 }
             })
@@ -950,7 +950,6 @@ impl Dispatcher {
             backends,
             local_fallbacks: self.local_fallbacks.load(Ordering::Relaxed) as u64,
             local_in_rotation: self.local_in_rotation,
-            unattested: tdsigma_obs::counter("dispatch.unattested").get(),
         }
     }
 }
@@ -1473,10 +1472,10 @@ mod tests {
     }
 
     #[test]
-    fn hedge_cross_check_arbitrates_with_local_ground_truth() {
-        // Exercise the arbitration core directly: two backends returned
-        // different bytes for the same job, and the local recomputation
-        // decides which one lied. (No sockets needed — arbitration only
+    fn arbitrate_pair_quarantines_whoever_local_ground_truth_contradicts() {
+        // Exercise the arbitration core of sampled verification
+        // directly: two backends returned different bytes for the same
+        // job, and the local recomputation decides which one lied. (No sockets needed — arbitration only
         // touches the local runner and the backend trust flags.)
         let dispatcher = Dispatcher::new(
             &fast_config(vec!["127.0.0.1:21".into(), "127.0.0.1:22".into()]),
@@ -1531,6 +1530,9 @@ mod tests {
             let (report, _) = dispatcher.run_job(&job).expect("hedged job");
             assert_eq!(report.key, job.key());
         }
+        // Hedging is latency only: without --verify-* nothing counts as
+        // verified, however many duplicates agreed.
+        assert!(dispatcher.drain_verified().is_empty());
         stop_backend(addr_a, handle_a);
         stop_backend(addr_b, handle_b);
     }

@@ -14,6 +14,7 @@
 //! places no matter how many workers raced for the jobs, which is what
 //! lets the chaos suite assert byte-identical recovery.
 
+use tdsigma_core::fingerprint::{fnv1a64, FNV_BASIS};
 use tdsigma_tech::Rng64;
 
 /// Where a fault decision is being made. Each site hashes into an
@@ -126,7 +127,7 @@ pub struct FaultPlan {
     pub wrong_fingerprint_permille: u16,
     /// Chance a serve backend perturbs a report's *values* after compute
     /// while keeping the report key intact — a lying backend. This is
-    /// exactly the corruption class that frame crc64 and engine
+    /// exactly the corruption class that wire attestation and engine
     /// fingerprints cannot catch: only redundant recomputation can.
     /// Not part of [`FaultPlan::chaos`]: silently changing result values
     /// breaks the byte-identity invariant every other class preserves,
@@ -351,7 +352,7 @@ impl FaultPlan {
 
     /// The dedicated RNG stream for one decision point.
     fn stream(&self, site: Site, key: &str, attempt: u32) -> Rng64 {
-        let mut h = fnv1a64(key.as_bytes(), 0xcbf2_9ce4_8422_2325 ^ self.seed);
+        let mut h = fnv1a64(key.as_bytes(), FNV_BASIS ^ self.seed);
         h = h
             .wrapping_mul(31)
             .wrapping_add(site as u64)
@@ -361,28 +362,11 @@ impl FaultPlan {
     }
 }
 
-/// Basis for the wire attestation crc64 computed by serve over the
-/// canonical report text and re-verified by `RemoteClient`. Deliberately
-/// distinct from the cache artifact basis and the journal envelope basis
-/// so an attestation can never be confused with either.
-pub(crate) const ATTEST_BASIS: u64 = 0x7a30_9d4f_1bc8_55e1;
-
 /// Basis for the sampled-verification draw: a report key hashes under
 /// this basis to decide whether the result is redundantly re-executed.
 /// Keyed on the report key alone — no RNG state, no clock — so the same
 /// keys are verified on every run and on `--resume`.
 pub(crate) const VERIFY_BASIS: u64 = 0x2f63_b1a8_9e47_d025;
-
-/// FNV-1a over `data` from the given basis. Shared by the fault plan's
-/// decision streams and the cache's artifact checksums.
-pub(crate) fn fnv1a64(data: &[u8], basis: u64) -> u64 {
-    let mut hash = basis;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 #[cfg(test)]
 mod tests {

@@ -2,13 +2,14 @@
 //!
 //! A sweep's progress is recorded as an append-only JSON-lines file under
 //! a journal directory (conventionally `results/journal/<run-id>.jsonl`).
-//! Each line wraps one [`JournalRecord`] in a crc64 envelope:
+//! Each line wraps one [`JournalRecord`] in a checksum envelope:
 //!
 //! ```text
 //! {"crc64":"<16 hex>","rec":{"t":"job_finished","key":"..."}}
 //! ```
 //!
-//! The checksum is FNV-1a over the canonical serialization of `rec`
+//! The `crc64` key is a historical name kept because it is format bytes;
+//! the checksum is FNV-1a over the canonical serialization of `rec`
 //! (which [`crate::Json`] guarantees is a parse/print fixed point), so a
 //! record damaged anywhere — torn write, bit rot, hand editing — fails
 //! verification.
@@ -31,17 +32,18 @@
 //! cache — not the journal — stays the ground truth for results.
 
 use crate::error::JobError;
-use crate::faults::fnv1a64;
 use crate::job::Job;
 use crate::json::Json;
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use tdsigma_core::fingerprint::fnv1a64;
 
-/// Basis for journal record checksums (distinct from both the job-key
-/// and cache-artifact bases, so no cross-protocol hash collisions).
-const JOURNAL_CRC_BASIS: u64 = 0x51ed_270b_7fa5_35c9;
+/// FNV-1a basis for journal record checksums (distinct from both the
+/// job-key and cache-artifact bases, so no cross-protocol hash
+/// collisions).
+const JOURNAL_FNV_BASIS: u64 = 0x51ed_270b_7fa5_35c9;
 
 /// One durable fact about a run's progress.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,8 +83,8 @@ pub enum JournalRecord {
         retryable: bool,
     },
     /// A job's remote result was verified against a redundant
-    /// recomputation (sampled verification or a hedge cross-check).
-    /// A resume must not pay for re-verifying it.
+    /// recomputation by sampled verification. A resume must not pay for
+    /// re-verifying it.
     JobVerified {
         /// The job's content-addressed key.
         key: String,
@@ -107,7 +109,7 @@ impl JournalRecord {
                 obj.push(("t".into(), Json::Str("batch_planned".into())));
                 obj.push(("run_id".into(), Json::Str(run_id.clone())));
                 // Emitted only when set, so pre-fingerprint records
-                // re-serialize byte-identically and their crc envelopes
+                // re-serialize byte-identically and their checksum envelopes
                 // still verify on replay.
                 if !fingerprint.is_empty() {
                     obj.push(("fingerprint".into(), Json::Str(fingerprint.clone())));
@@ -209,12 +211,12 @@ impl JournalRecord {
         }
     }
 
-    /// One journal line: the record body wrapped in its crc envelope,
+    /// One journal line: the record body wrapped in its checksum envelope,
     /// newline-terminated.
     fn to_line(&self) -> String {
         let rec = self.to_json();
         let body = rec.to_text();
-        let crc = fnv1a64(body.as_bytes(), JOURNAL_CRC_BASIS);
+        let crc = fnv1a64(body.as_bytes(), JOURNAL_FNV_BASIS);
         Json::Obj(vec![
             ("crc64".into(), Json::Str(format!("{crc:016x}"))),
             ("rec".into(), rec),
@@ -224,7 +226,7 @@ impl JournalRecord {
     }
 }
 
-/// Parses one journal line and verifies its checksum. The crc is checked
+/// Parses one journal line and verifies its checksum. The FNV-1a is checked
 /// against the *re-serialized* parsed body, which is sound because the
 /// JSON writer is a parse/print fixed point (see json.rs tests).
 fn parse_line(line: &str) -> Result<JournalRecord, JobError> {
@@ -238,10 +240,10 @@ fn parse_line(line: &str) -> Result<JournalRecord, JobError> {
         .get("rec")
         .ok_or_else(|| JobError::Invalid("journal line missing rec".into()))?;
     let body = rec.to_text();
-    let actual = format!("{:016x}", fnv1a64(body.as_bytes(), JOURNAL_CRC_BASIS));
+    let actual = format!("{:016x}", fnv1a64(body.as_bytes(), JOURNAL_FNV_BASIS));
     if stated != actual {
         return Err(JobError::Invalid(format!(
-            "journal crc mismatch: line says {stated}, record hashes to {actual}"
+            "journal checksum mismatch: line says {stated}, record hashes to {actual}"
         )));
     }
     JournalRecord::from_json(rec)
@@ -629,7 +631,7 @@ mod tests {
     fn pre_fingerprint_batch_planned_lines_still_verify() {
         // A plan with no fingerprint serializes without the field at
         // all, so journals written by pre-fingerprint binaries and by
-        // this one are byte-compatible and crc-stable in both
+        // this one are byte-compatible and checksum-stable in both
         // directions.
         let rec = JournalRecord::BatchPlanned {
             run_id: "old".into(),

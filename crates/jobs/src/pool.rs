@@ -25,7 +25,7 @@
 //!   the empty plan reduces to integer compares.
 
 use crate::error::JobError;
-use crate::faults::{fnv1a64, AttemptFault, FaultPlan};
+use crate::faults::{AttemptFault, FaultPlan};
 use crate::job::Job;
 use crate::metrics::StageTimes;
 use crate::report::JobReport;
@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use tdsigma_core::fingerprint::fnv1a64;
 use tdsigma_obs as obs;
 use tdsigma_tech::Rng64;
 

@@ -9,9 +9,12 @@
 //!
 //! Jobs travel in their canonical Hz-units form (`{"cmd":"run","job":…}`,
 //! see [`Job::to_json`]) so the backend computes the same content
-//! address the dispatcher did; the client verifies `report.key` against
-//! the job key on the way back, which catches a corrupt or misrouted
-//! response frame before it can poison the local cache.
+//! address the dispatcher did. On the way back the client accepts a
+//! report only if its key matches the job key (catching a misrouted
+//! frame) and its mandatory `attest` sibling matches the attestation
+//! recomputed over the parsed report (catching a payload changed in
+//! transit). The wire carries no other checksum, so attestation is what
+//! keeps a corrupt frame from poisoning the local cache.
 //!
 //! Errors split into the two classes the failover policy needs
 //! ([`RemoteError`]): `Backend` means *this peer* misbehaved (connect
@@ -26,7 +29,7 @@
 //! on `(backend address, job key)` so a chaos run is replayable by seed.
 
 use crate::error::JobError;
-use crate::faults::{FaultPlan, NetFault, ATTEST_BASIS};
+use crate::faults::{FaultPlan, NetFault};
 use crate::job::Job;
 use crate::json::Json;
 use crate::pool::backoff_delay_ms;
@@ -218,43 +221,7 @@ impl RemoteClient {
         }
         let request = Json::Obj(fields);
         let response = self.exchange(&request.to_text(), &format!("{}|{key}", self.addr))?;
-        if response.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(classify_protocol_error(&response));
-        }
-        let report_json = response
-            .get("report")
-            .ok_or_else(|| RemoteError::Backend("response missing \"report\"".into()))?;
-        let report = JobReport::from_json(report_json)
-            .map_err(|e| RemoteError::Backend(format!("unparseable report: {e}")))?;
-        // A report for the wrong job means the frame was corrupted or
-        // misrouted in transit; caching it would poison the store, so it
-        // is rejected here where the job key is still in hand.
-        if report.key != key {
-            return Err(RemoteError::Backend(format!(
-                "report key {} does not match job key {key}",
-                report.key
-            )));
-        }
-        // Wire attestation: the backend hashed the canonical report text
-        // it sent; recomputing over the parsed report proves the payload
-        // survived transit *and* re-serialization byte-for-byte. A
-        // missing sibling is an old backend — accepted, but counted, so
-        // an operator can see how much of the fleet predates attestation.
-        match response.get("attest").and_then(Json::as_str) {
-            Some(claimed) => {
-                let ours = format!(
-                    "{:016x}",
-                    crate::faults::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS)
-                );
-                if claimed != ours {
-                    return Err(RemoteError::Backend(format!(
-                        "report attestation {claimed} does not match recomputed {ours}"
-                    )));
-                }
-            }
-            None => tdsigma_obs::counter("dispatch.unattested").inc(),
-        }
-        Ok(report)
+        accept_run_response(&response, &key)
     }
 
     /// Health-checks the backend via the `health` op.
@@ -398,9 +365,7 @@ impl RemoteClient {
             let mid = response.len() / 2;
             response.replace_range(mid..(mid + 1).min(response.len()), "\u{1}");
         }
-        Json::parse(response.trim()).map_err(|e| {
-            RemoteError::Backend(format!("malformed response from {}: {e}", self.addr))
-        })
+        parse_response(&self.addr, &response)
     }
 
     /// Connects with per-attempt deadlines and deterministic backoff
@@ -454,6 +419,48 @@ impl RemoteClient {
     }
 }
 
+/// Parses one response line from `addr`; garbage is a backend failure.
+fn parse_response(addr: &str, line: &str) -> Result<Json, RemoteError> {
+    Json::parse(line.trim())
+        .map_err(|e| RemoteError::Backend(format!("malformed response from {addr}: {e}")))
+}
+
+/// Accepts or refuses a parsed `run` answer for the job keyed `key`.
+///
+/// A report is accepted only when the answer is `ok`, the report parses,
+/// its key is the job's (a report for another job was misrouted), and
+/// its `attest` sibling equals [`JobReport::attestation`] recomputed over
+/// the parsed report. The last check is the one that catches a payload
+/// changed in transit: a corrupted key name of an optional or defaulted
+/// field still parses, to a *different* report with the same key.
+fn accept_run_response(response: &Json, key: &str) -> Result<JobReport, RemoteError> {
+    if response.get("ok").and_then(Json::as_bool) != Some(true) {
+        return Err(classify_protocol_error(response));
+    }
+    let report_json = response
+        .get("report")
+        .ok_or_else(|| RemoteError::Backend("response missing \"report\"".into()))?;
+    let report = JobReport::from_json(report_json)
+        .map_err(|e| RemoteError::Backend(format!("unparseable report: {e}")))?;
+    if report.key != key {
+        return Err(RemoteError::Backend(format!(
+            "report key {} does not match job key {key}",
+            report.key
+        )));
+    }
+    let claimed = response
+        .get("attest")
+        .and_then(Json::as_str)
+        .ok_or_else(|| RemoteError::Backend("response missing \"attest\"".into()))?;
+    let ours = report.attestation();
+    if claimed != ours {
+        return Err(RemoteError::Backend(format!(
+            "report attestation {claimed} does not match recomputed {ours}"
+        )));
+    }
+    Ok(report)
+}
+
 /// Classifies a `{"ok":false,…}` protocol answer. A `busy` rejection is
 /// a healthy-but-full backend (cool it down for `retry_after_ms`);
 /// infrastructure-flavored messages are the backend's problem; a
@@ -495,6 +502,7 @@ fn classify_protocol_error(response: &Json) -> RemoteError {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
+    use crate::job::JobKind;
     use crate::metrics::StageTimes;
     use crate::pool::{PoolConfig, Runner};
     use crate::server::{Server, ServerConfig};
@@ -758,6 +766,7 @@ mod tests {
             let mut obj = Json::Obj(vec![
                 ("ok".into(), Json::Bool(true)),
                 ("report".into(), report.to_json()),
+                ("attest".into(), Json::Str(report.attestation())),
             ])
             .to_text();
             obj.push('\n');
@@ -805,28 +814,22 @@ mod tests {
     }
 
     #[test]
-    fn pre_attestation_backend_is_accepted_and_counted() {
-        // A backend from before the attestation protocol omits the
-        // sibling entirely. Its reports must still be accepted — the
-        // fleet upgrades one node at a time — but each acceptance is
-        // counted so the operator can see the unattested fraction.
+    fn unattested_response_is_a_backend_error() {
+        // A frame without the attestation sibling carries nothing that
+        // vouches for its payload: refused like a mismatched one, so
+        // failover takes over.
         let job = Job {
             seed: 4,
             ..Job::sim(40.0, 750e6, 5e6)
         };
         let line = report_response_line(&job, 64.0, None);
-        let before = tdsigma_obs::counter("dispatch.unattested").get();
         let (addr, handle) = hostile_backend(move |mut stream| {
             let _ = stream.write_all(line.as_bytes());
         });
-        let report = fast_client(addr)
-            .run_job(&job)
-            .expect("pre-attestation backend must stay usable");
-        assert_eq!(report.sndr_db, 64.0);
-        assert!(
-            tdsigma_obs::counter("dispatch.unattested").get() > before,
-            "the unattested acceptance must be counted"
-        );
+        match fast_client(addr).run_job(&job) {
+            Err(RemoteError::Backend(m)) => assert!(m.contains("attest"), "{m}"),
+            other => panic!("expected missing-attestation error, got {other:?}"),
+        }
         handle.join().unwrap();
     }
 
@@ -874,17 +877,86 @@ mod tests {
             fom_fj: None,
             timing_slack_ps: None,
         };
-        let attest = format!(
-            "{:016x}",
-            crate::faults::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS)
-        );
-        let line = report_response_line(&job, 64.0, Some(&attest));
+        let line = report_response_line(&job, 64.0, Some(&report.attestation()));
         let (addr, handle) = hostile_backend(move |mut stream| {
             let _ = stream.write_all(line.as_bytes());
         });
         let got = fast_client(addr).run_job(&job).expect("attested frame");
         assert_eq!(got.sndr_db, 64.0);
         handle.join().unwrap();
+    }
+
+    /// A report of `kind` with every optional and defaulted field set
+    /// to a non-default value, so each one is on the wire.
+    fn fully_populated_report(kind: JobKind) -> JobReport {
+        let job = Job {
+            kind,
+            slices: 6,
+            samples: 4096,
+            amplitude_rel: 0.5,
+            fin_hz: Some(1.25e6),
+            steps_per_cycle: 12,
+            loop_gain: 1.5,
+            vco_stages: 5,
+            rdac_ohm: 18_000.0,
+            seed: 77,
+            ..Job::sim(40.0, 750e6, 5e6)
+        };
+        JobReport {
+            key: job.key(),
+            fin_hz: job.input_frequency_hz(),
+            job,
+            sndr_db: 66.25,
+            enob: 10.7,
+            power_mw: Some(1.375),
+            digital_fraction: Some(0.625),
+            area_mm2: Some(0.0125),
+            fom_fj: Some(112.5),
+            timing_slack_ps: Some(87.5),
+        }
+    }
+
+    #[test]
+    fn every_single_byte_wire_corruption_is_refused_or_harmless() {
+        // The `CorruptResponse` fault class, exhaustively: substitute
+        // 0x01 at every byte of a `run` frame (sim and flow kinds, every
+        // optional field present) and run the client's acceptance steps.
+        // Each outcome must be a refusal or the original report, byte for
+        // byte. Without the attestation compare, corrupted key names of
+        // optional or defaulted fields parse back to `None`/`0.0` — a
+        // different report under the right key — and this test fails.
+        for kind in [JobKind::SimTone, JobKind::FullFlow] {
+            let report = fully_populated_report(kind);
+            let original = report.to_text();
+            let frame = Json::Obj(vec![
+                ("ok".into(), Json::Bool(true)),
+                ("report".into(), report.to_json()),
+                ("attest".into(), Json::Str(report.attestation())),
+            ])
+            .to_text();
+            let accept = |line: &str| {
+                parse_response("wire", line)
+                    .and_then(|response| accept_run_response(&response, &report.key))
+            };
+            let intact = accept(&frame).expect("the intact frame is accepted");
+            assert_eq!(intact.to_text(), original);
+            let mut refused = 0;
+            for at in 0..frame.len() {
+                let mut bytes = frame.clone().into_bytes();
+                bytes[at] = 0x01;
+                let corrupt = String::from_utf8(bytes).expect("frame is ASCII");
+                match accept(&corrupt) {
+                    Err(RemoteError::Backend(_)) => refused += 1,
+                    Err(other) => panic!("{kind:?} byte {at}: unexpected {other:?}"),
+                    Ok(got) => assert_eq!(
+                        got.to_text(),
+                        original,
+                        "{kind:?} byte {at}: a corrupted frame was accepted as a different report"
+                    ),
+                }
+            }
+            assert!(refused > 0, "{kind:?}: no corruption was refused");
+        }
     }
 
     #[test]

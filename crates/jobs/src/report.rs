@@ -10,8 +10,14 @@
 use crate::error::JobError;
 use crate::job::{Job, JobKind};
 use crate::json::Json;
+use tdsigma_core::fingerprint::fnv1a64;
 use tdsigma_core::AdcReport;
 use tdsigma_tech::NodeId;
+
+/// Basis for the wire attestation. Deliberately distinct from the cache
+/// artifact basis and the journal envelope basis so an attestation can
+/// never be confused with either.
+const ATTEST_BASIS: u64 = 0x7a30_9d4f_1bc8_55e1;
 
 /// Everything one job produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,6 +65,16 @@ impl JobReport {
     /// This report as one line of canonical JSON text.
     pub fn to_text(&self) -> String {
         self.to_json().to_text()
+    }
+
+    /// The wire attestation of this report: FNV-1a from
+    /// [`ATTEST_BASIS`] over [`JobReport::to_text`], as 16 hex digits.
+    /// Serve sends it as the `attest` sibling of every `run` answer and
+    /// the client recomputes it over the report it parsed, so a frame
+    /// whose payload changed in transit — or re-serializes differently —
+    /// is refused.
+    pub(crate) fn attestation(&self) -> String {
+        format!("{:016x}", fnv1a64(self.to_text().as_bytes(), ATTEST_BASIS))
     }
 
     /// Parses a report serialized by [`JobReport::to_text`].

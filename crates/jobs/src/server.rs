@@ -52,7 +52,6 @@
 
 use crate::engine::Engine;
 use crate::error::JobError;
-use crate::faults::ATTEST_BASIS;
 use crate::job::{Job, JobKind};
 use crate::json::Json;
 use crate::pool::lock_unpoisoned;
@@ -684,10 +683,9 @@ fn admitted_run(
                 report.sndr_db += delta;
                 tdsigma_obs::counter("serve.lying_backend_injected").inc();
             }
-            let attest = crate::faults::fnv1a64(report.to_text().as_bytes(), ATTEST_BASIS);
             ok_response(vec![
                 ("report".into(), report.to_json()),
-                ("attest".into(), Json::Str(format!("{attest:016x}"))),
+                ("attest".into(), Json::Str(report.attestation())),
             ])
         }
         Err(e) => error_response(&e.to_string()),
@@ -898,10 +896,6 @@ fn stats_response(engine: &Engine, supervision: &Supervision) -> Json {
             (
                 "cache_stale".into(),
                 Json::Num(engine.cache().stale() as f64),
-            ),
-            (
-                "cache_legacy_rejected".into(),
-                Json::Num(engine.cache().legacy_rejected() as f64),
             ),
             ("obs".into(), obs_snapshot_json()),
         ]),
@@ -1648,12 +1642,6 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(0.0)
         );
-        assert_eq!(
-            r.get("stats")
-                .and_then(|s| s.get("cache_legacy_rejected"))
-                .and_then(Json::as_f64),
-            Some(0.0)
-        );
     }
 
     #[test]
@@ -1824,13 +1812,9 @@ mod tests {
         // verifies — by design, wire attestation cannot catch a lying
         // backend; only redundant recomputation can.
         let report = JobReport::from_json(report_json).expect("parsable report");
-        let expected = format!(
-            "{:016x}",
-            crate::faults::fnv1a64(report.to_text().as_bytes(), crate::faults::ATTEST_BASIS)
-        );
         assert_eq!(
             r.get("attest").and_then(Json::as_str),
-            Some(expected.as_str())
+            Some(report.attestation().as_str())
         );
         assert!(tdsigma_obs::counter("serve.lying_backend_injected").get() >= 1);
     }
