@@ -1,7 +1,8 @@
 //! Micro-bench: behavioral ADC simulation throughput at both paper
-//! nodes, its sensitivity to the substep count, and the single-run
+//! nodes, its sensitivity to the substep count, the single-run
 //! transient + spectrum path a design-space evaluation pays per
-//! candidate.
+//! candidate, and the two halves of a simulator step: the Gaussian
+//! noise block and the noise-free integration floor.
 //!
 //! `cargo bench --bench bench_sim -- --save ../../BENCH_sim.json`
 //! refreshes the checked-in baseline and `-- --compare
@@ -11,6 +12,7 @@
 
 use std::hint::black_box;
 use tdsigma_bench::harness::BenchRunner;
+use tdsigma_circuit::noise::SimRng;
 use tdsigma_core::sim::AdcSimulator;
 use tdsigma_core::spec::AdcSpec;
 use tdsigma_dsp::spectrum::SpectrumScratch;
@@ -51,6 +53,27 @@ fn main() {
             black_box(capture.spectrum_with(Window::Hann, &mut scratch))
         });
     }
+
+    // One step's noise block at 8 slices with thermal and phase noise
+    // on: 32 standard normals.
+    let mut rng = SimRng::new(1);
+    let mut block = [0.0f64; 32];
+    runner.bench("noise_standard_normal_32", || {
+        rng.fill_standard_normals(&mut block);
+        black_box(block[31])
+    });
+
+    // The integration floor: the same 40 nm transient with every noise
+    // source off, so no normal is drawn per step.
+    let mut quiet = AdcSpec::paper_40nm().expect("spec");
+    quiet.thermal_noise = false;
+    quiet.phase_noise_per_sqrt_hz = 0.0;
+    quiet.comparator_noise_v = 0.0;
+    quiet.clock_jitter_rms_s = 0.0;
+    runner.bench("adc_sim_transient_noise_free_2048cyc", || {
+        let mut sim = AdcSimulator::new(quiet.clone()).expect("simulator");
+        black_box(sim.run_tone(1e6, 0.79, 2_048))
+    });
 
     runner.finish();
 }

@@ -5,11 +5,11 @@ use std::fmt;
 use tdsigma_tech::rng::Rng64;
 
 /// The simulation RNG. A thin wrapper over a seeded [`Rng64`]
-/// (xoshiro256\*\*) that adds Gaussian sampling (Box–Muller with caching)
-/// so simulations are exactly reproducible from a `u64` seed.
+/// (xoshiro256\*\*) whose Gaussian samples come from
+/// [`Rng64::standard_normal`], so simulations are exactly reproducible
+/// from a `u64` seed.
 pub struct SimRng {
     inner: Rng64,
-    cached_gaussian: Option<f64>,
     seed: u64,
 }
 
@@ -19,7 +19,6 @@ impl SimRng {
     pub fn new(seed: u64) -> Self {
         SimRng {
             inner: Rng64::seed_from_u64(seed),
-            cached_gaussian: None,
             seed,
         }
     }
@@ -34,23 +33,10 @@ impl SimRng {
         self.inner.gen_f64()
     }
 
-    /// Standard-normal sample (mean 0, σ 1) via Box–Muller.
+    /// Standard-normal sample (mean 0, σ 1).
+    #[inline]
     pub fn standard_normal(&mut self) -> f64 {
-        if let Some(z) = self.cached_gaussian.take() {
-            return z;
-        }
-        // Box–Muller: two uniforms → two independent normals.
-        let u1: f64 = loop {
-            let u = self.inner.gen_f64();
-            if u > f64::MIN_POSITIVE {
-                break u;
-            }
-        };
-        let u2: f64 = self.inner.gen_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.cached_gaussian = Some(r * theta.sin());
-        r * theta.cos()
+        self.inner.standard_normal()
     }
 
     /// Gaussian sample with explicit standard deviation.
@@ -58,48 +44,11 @@ impl SimRng {
         self.standard_normal() * sigma
     }
 
-    /// Fills `out` with standard normals, consuming the generator stream
-    /// *exactly* as `out.len()` repeated [`Self::standard_normal`] calls
-    /// would — same uniforms, same cached-half bookkeeping, bit-identical
-    /// values. The transcendental work (`ln`, `sqrt`, `sin`, `cos`) runs
-    /// in array passes over small batches so independent evaluations
-    /// pipeline, which is what the simulator hot loop wants.
+    /// Fills `out` with standard normals: exactly `out.len()` repeated
+    /// [`Self::standard_normal`] calls.
     pub fn fill_standard_normals(&mut self, out: &mut [f64]) {
-        const PAIRS: usize = 32;
-        let mut i = 0;
-        if !out.is_empty() {
-            if let Some(z) = self.cached_gaussian.take() {
-                out[0] = z;
-                i = 1;
-            }
-        }
-        let mut u1 = [0.0f64; PAIRS];
-        let mut theta = [0.0f64; PAIRS];
-        while i < out.len() {
-            let k = (out.len() - i).div_ceil(2).min(PAIRS);
-            for p in 0..k {
-                u1[p] = loop {
-                    let u = self.inner.gen_f64();
-                    if u > f64::MIN_POSITIVE {
-                        break u;
-                    }
-                };
-                theta[p] = 2.0 * std::f64::consts::PI * self.inner.gen_f64();
-            }
-            for u in u1.iter_mut().take(k) {
-                *u = (-2.0 * u.ln()).sqrt();
-            }
-            for p in 0..k {
-                let z0 = u1[p] * theta[p].cos();
-                let z1 = u1[p] * theta[p].sin();
-                out[i + 2 * p] = z0;
-                if let Some(slot) = out.get_mut(i + 2 * p + 1) {
-                    *slot = z1;
-                } else {
-                    self.cached_gaussian = Some(z1);
-                }
-            }
-            i += 2 * k;
+        for z in out {
+            *z = self.inner.standard_normal();
         }
     }
 

@@ -71,9 +71,20 @@ fn compute() -> String {
 /// (integration, noise draws, windowing, FFT, SNDR integration) lands in
 /// the digest.
 fn golden_digest() -> Result<u64, CoreError> {
+    digest_of(golden_spec()?)
+}
+
+/// The golden micro-vector's design point: the paper's 40 nm spec at 2
+/// slices and 4 steps per cycle, every noise source on.
+fn golden_spec() -> Result<AdcSpec, CoreError> {
     let mut spec = AdcSpec::paper_40nm()?;
     spec.n_slices = 2;
     spec.steps_per_cycle = 4;
+    Ok(spec)
+}
+
+/// Digests the SNDR bits of a golden-length tone capture of `spec`.
+fn digest_of(spec: AdcSpec) -> Result<u64, CoreError> {
     let spec = spec.validated()?;
     let mut sim = AdcSimulator::new(spec.clone())?;
     let amplitude = 0.5 * spec.full_scale_v();
@@ -127,6 +138,35 @@ mod tests {
         let a = golden_digest().expect("golden vector must simulate");
         let b = golden_digest().expect("golden vector must simulate");
         assert_eq!(a, b, "same binary, same golden bits");
+    }
+
+    #[test]
+    fn every_noise_source_moves_the_golden_digest() {
+        // The fingerprint must move when the sampler changes. It can only
+        // do so if every noise draw lands in the digested SNDR bits, so
+        // switching any source off must change the digest.
+        let on = golden_digest().expect("golden vector must simulate");
+        // Bits: thermal, phase, comparator, jitter; 0b1111 = all off.
+        for off in [0b0001u8, 0b0010, 0b0100, 0b1000, 0b1111] {
+            let mut spec = golden_spec().expect("golden spec");
+            if off & 0b0001 != 0 {
+                spec.thermal_noise = false;
+            }
+            if off & 0b0010 != 0 {
+                spec.phase_noise_per_sqrt_hz = 0.0;
+            }
+            if off & 0b0100 != 0 {
+                spec.comparator_noise_v = 0.0;
+            }
+            if off & 0b1000 != 0 {
+                spec.clock_jitter_rms_s = 0.0;
+            }
+            let digest = digest_of(spec).expect("quiet vector must simulate");
+            assert_ne!(
+                digest, on,
+                "noise sources {off:04b} off left the golden digest unchanged"
+            );
+        }
     }
 
     #[test]

@@ -120,6 +120,12 @@ impl fmt::Display for ComparatorFlavor {
 // Build-time order (per slice `i` ascending): VCO P mismatch, VCO N
 // mismatch, P comparator offsets (one per tap), N comparator offsets,
 // P DAC resistor mismatches (one per tap), N DAC resistor mismatches.
+//
+// Every "standard normal" above is one `Rng64::standard_normal` call (a
+// ziggurat). No half of a pair is cached between calls, and one normal
+// consumes a variable number of `u64`s: one on the fast path, more when
+// a wedge or tail draw needs a uniform or is rejected. The contract
+// therefore fixes the order and count of normals, not of raw `u64`s.
 
 const TWO_PI: f64 = 2.0 * PI;
 

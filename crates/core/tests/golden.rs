@@ -11,7 +11,7 @@
 //! counter and the bit patterns of the float accumulators.
 //!
 //! If an *intentional* numerical change lands (like the fixed-grid clock
-//! bugfix that created these values), regenerate with:
+//! bugfix or the switch to the ziggurat normal sampler), regenerate with:
 //!
 //! ```text
 //! cargo run --release -p tdsigma-bench --bin golden_probe
@@ -29,14 +29,15 @@ use tdsigma_dsp::window::Window;
 use tdsigma_layout::{synthesize, synthesize_naive, to_def, AprOptions};
 use tdsigma_netlist::PowerPlan;
 
-/// Output of `golden_probe` at the fixed-grid clock baseline.
+/// Output of `golden_probe` with the fixed-grid clock and the ziggurat
+/// normal sampler.
 const GOLDEN: &str = "\
-40nm seed=2017 output=cc76301122254c4b codes=3dfd03a8f0b3e77a spectrum=492bfe724e77b596 vco=6567 clk=1024 dac=4741 d=4736 cmp=65536 energy=3e011908a8d5eece dur=3eb6e80fe033c8c6
-40nm seed=1 output=5c07688c02ec726d codes=b167f62eb4d81de8 spectrum=ee30fa8f0832115f vco=6564 clk=1024 dac=4812 d=4804 cmp=65536 energy=3e012067d781cb25 dur=3eb6e80fe033c8c6
-40nm seed=42 output=7a05f9749123ae8b codes=961d67c8af409682 spectrum=adc4cb71d53002cc vco=6558 clk=1024 dac=4771 d=4766 cmp=65536 energy=3e011f8f78fa9940 dur=3eb6e80fe033c8c6
-180nm seed=2017 output=d5ff91101bc77dbf codes=ff2865efd06db2da spectrum=30dbe65a56964c4e vco=6559 clk=1024 dac=4699 d=4695 cmp=65536 energy=3e3125bfe3f6ebfb dur=3ed12e0be826d695
-180nm seed=1 output=f901ff416ca76c7d codes=83a3d26f61e9e319 spectrum=1616adf82772d995 vco=6559 clk=1024 dac=4716 d=4711 cmp=65536 energy=3e3126c742c68aa3 dur=3ed12e0be826d695
-180nm seed=42 output=3eaef3ad5c781cd3 codes=b8297ed579abdd67 spectrum=b7aaf9809b99aa65 vco=6556 clk=1024 dac=4792 d=4782 cmp=65536 energy=3e3134c29a0781df dur=3ed12e0be826d695
+40nm seed=2017 output=bcb6c80f9da5950e codes=5bda1a6d15fc6364 spectrum=849580653d89eb1f vco=6549 clk=1024 dac=4816 d=4810 cmp=65536 energy=3e011d6f5d972649 dur=3eb6e80fe033c8c6
+40nm seed=1 output=80447ce5e1c5d56d codes=6f6c41684aa45149 spectrum=aa3adab0aeee4b96 vco=6548 clk=1024 dac=4816 d=4806 cmp=65536 energy=3e011cae87d0985d dur=3eb6e80fe033c8c6
+40nm seed=42 output=8ca495ae31daf649 codes=9b7004558d6f92e0 spectrum=f913ac51fed1ffa1 vco=6548 clk=1024 dac=4699 d=4694 cmp=65536 energy=3e0114e3eae7c08d dur=3eb6e80fe033c8c6
+180nm seed=2017 output=92b5f94d1cd1aae5 codes=536d2668bf1c2e7b spectrum=496c4836ee7ef23a vco=6549 clk=1024 dac=4752 d=4748 cmp=65536 energy=3e312a21fa2b86e5 dur=3ed12e0be826d695
+180nm seed=1 output=b3b3160f8677915f codes=a0bf13c504a5f42e spectrum=e9b21a67a70f9e0a vco=6550 clk=1024 dac=4716 d=4709 cmp=65536 energy=3e3123bddcf0e16a dur=3ed12e0be826d695
+180nm seed=42 output=7115bf4480298c08 codes=c8850426621b0ac0 spectrum=8f7e13d81099ff1e vco=6550 clk=1024 dac=4782 d=4776 cmp=65536 energy=3e31268085ad91a4 dur=3ed12e0be826d695
 ";
 
 /// Output of `golden_probe` for the layout path: the paper points at the

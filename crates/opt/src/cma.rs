@@ -73,7 +73,7 @@ impl CmaState {
                 self.mean
                     .iter()
                     .zip(&self.scale)
-                    .map(|(&m, &s)| (m + self.sigma * s * standard_normal(&mut r)).clamp(0.0, 1.0))
+                    .map(|(&m, &s)| (m + self.sigma * s * r.standard_normal()).clamp(0.0, 1.0))
                     .collect()
             })
             .collect()
@@ -131,14 +131,6 @@ impl CmaState {
         }
         improved
     }
-}
-
-/// Standard-normal sample via Box–Muller (local copy; `tdsigma-opt`
-/// depends on tech/jobs/obs only).
-fn standard_normal(rng: &mut Rng64) -> f64 {
-    let u1 = (1.0 - rng.gen_f64()).max(f64::MIN_POSITIVE);
-    let u2 = rng.gen_f64();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

@@ -10,6 +10,56 @@
 //! for this repo — produces an identical stream for an identical `u64`
 //! seed on every platform, which is what makes simulations, layouts and
 //! job-cache keys reproducible.
+//!
+//! [`Rng64::standard_normal`] is the workspace's one Gaussian sampler: a
+//! 256-layer ziggurat (Marsaglia & Tsang 2000, in Doornik's ZIGNOR
+//! layout) whose common case costs one `u64` draw and one table compare.
+
+use std::sync::LazyLock;
+
+/// Ziggurat layers. A power of two: the layer index is the low byte of
+/// one draw.
+const ZIG_LAYERS: usize = 256;
+
+/// Right edge of the base layer, where the tail begins (Marsaglia &
+/// Tsang's value for 256 layers).
+const ZIG_R: f64 = 3.654_152_885_361_009;
+
+/// Area of every layer under the unnormalised density `exp(-x²/2)`: the
+/// base layer's rectangle `R·f(R)` plus the tail `∫_R^∞ f`, evaluated in
+/// double precision from [`ZIG_R`]. With this value the layer recursion
+/// closes on `f = 1` at the top layer to ~1e-13.
+const ZIG_V: f64 = 4.928_673_233_974_658e-3;
+
+/// The ziggurat tables, derived once from ([`ZIG_R`], [`ZIG_V`]).
+struct Ziggurat {
+    /// Layer right edges: `x[0] = V/f(R)` (the base layer's width if its
+    /// tail were folded into a rectangle), `x[1] = R`, decreasing to
+    /// `x[256] = 0`. Layer `i ≥ 1` spans heights `f(x[i])..f(x[i+1])`.
+    x: [f64; ZIG_LAYERS + 1],
+    /// `f(x[i]) = exp(-x[i]²/2)`; `f[0]` is never read.
+    f: [f64; ZIG_LAYERS + 1],
+    /// `x[i+1] / x[i]`: a signed fraction `u` with `|u|` below this maps
+    /// to a point `u·x[i]` that lies under the curve at every height of
+    /// layer `i`.
+    ratio: [f64; ZIG_LAYERS],
+}
+
+static ZIGGURAT: LazyLock<Ziggurat> = LazyLock::new(|| {
+    let pdf = |x: f64| (-0.5 * x * x).exp();
+    let mut x = [0.0; ZIG_LAYERS + 1];
+    x[0] = ZIG_V / pdf(ZIG_R);
+    x[1] = ZIG_R;
+    // Each layer has area V: x[i-1]·(f(x[i]) − f(x[i-1])) = V.
+    for i in 2..ZIG_LAYERS {
+        x[i] = (-2.0 * (ZIG_V / x[i - 1] + pdf(x[i - 1])).ln()).sqrt();
+    }
+    Ziggurat {
+        x,
+        f: x.map(pdf),
+        ratio: std::array::from_fn(|i| x[i + 1] / x[i]),
+    }
+});
 
 /// A seedable xoshiro256\*\* generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,6 +85,7 @@ impl Rng64 {
     }
 
     /// The next raw 64-bit draw.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -69,8 +120,54 @@ impl Rng64 {
     }
 
     /// Uniform `f64` in `[0, 1)` with the full 53 bits of mantissa.
+    #[inline]
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Standard-normal sample (mean 0, σ 1) by the ziggurat method.
+    ///
+    /// One `u64` picks the layer (low 8 bits) and a signed fraction
+    /// `u ∈ [-1, 1)` (top 53 bits, disjoint from the index). About 98.5 %
+    /// of draws return `u·x[i]` after a single compare. The rest either
+    /// test a wedge against the density (one more uniform, one `exp`) or,
+    /// in the base layer, sample the tail beyond `R`. A rejected wedge
+    /// point starts over with a fresh `u64`, so a normal consumes a
+    /// variable number of draws from the stream.
+    #[inline]
+    pub fn standard_normal(&mut self) -> f64 {
+        let zig = &*ZIGGURAT;
+        loop {
+            let bits = self.next_u64();
+            let i = (bits & 0xFF) as usize;
+            let u = ((bits as i64) >> 11) as f64 * (1.0 / (1u64 << 52) as f64);
+            if u.abs() < zig.ratio[i] {
+                return u * zig.x[i];
+            }
+            if i == 0 {
+                return self.normal_tail(u < 0.0);
+            }
+            let x = u * zig.x[i];
+            let y = zig.f[i] + self.gen_f64() * (zig.f[i + 1] - zig.f[i]);
+            if y < (-0.5 * x * x).exp() {
+                return x;
+            }
+        }
+    }
+
+    /// A normal conditioned on `|z| > R`, by Marsaglia's (1964) method:
+    /// an exponential proposal `R + x` accepted with probability
+    /// `exp(-x²/2)`.
+    #[cold]
+    fn normal_tail(&mut self, negative: bool) -> f64 {
+        loop {
+            // 1 − U lies in (0, 1], so the logarithms are finite.
+            let x = -(1.0 - self.gen_f64()).ln() / ZIG_R;
+            let y = -(1.0 - self.gen_f64()).ln();
+            if 2.0 * y > x * x {
+                return if negative { -(ZIG_R + x) } else { ZIG_R + x };
+            }
+        }
     }
 
     /// Uniform integer in `[0, n)`.
@@ -195,6 +292,132 @@ mod tests {
         let mut b = advanced.split(3);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0, "split must key on the current state");
+    }
+
+    /// `erfc` to ~1e-13 relative: the positive-term series for `erf`
+    /// below 2, a continued fraction (evaluated bottom-up) above.
+    fn erfc(x: f64) -> f64 {
+        use std::f64::consts::PI;
+        if x < 0.0 {
+            return 2.0 - erfc(-x);
+        }
+        if x < 2.0 {
+            // erf(x) = 2/√π · e^{-x²} · Σ 2ⁿ x^{2n+1} / (2n+1)!!
+            let (mut term, mut sum, mut n) = (x, x, 0.0);
+            while term > sum * 1e-17 {
+                n += 1.0;
+                term *= 2.0 * x * x / (2.0 * n + 1.0);
+                sum += term;
+            }
+            return 1.0 - 2.0 / PI.sqrt() * (-x * x).exp() * sum;
+        }
+        // erfc(x) = e^{-x²}/√π · 1/(x + ½/(x + 1/(x + (3/2)/(x + …))))
+        let mut t = x;
+        for k in (1..=100).rev() {
+            t = x + (k as f64 / 2.0) / t;
+        }
+        (-x * x).exp() / (PI.sqrt() * t)
+    }
+
+    /// Standard normal CDF.
+    fn phi(z: f64) -> f64 {
+        0.5 * erfc(-z / std::f64::consts::SQRT_2)
+    }
+
+    #[test]
+    fn erfc_reference_values() {
+        for (x, want) in [
+            (0.5, 0.479_500_122_186_953_5),
+            (1.0, 0.157_299_207_050_285_13),
+            (2.0, 4.677_734_981_047_266e-3),
+            (3.0, 2.209_049_699_858_544e-5),
+        ] {
+            assert!(
+                (erfc(x) / want - 1.0).abs() < 1e-12,
+                "erfc({x}) = {}",
+                erfc(x)
+            );
+        }
+    }
+
+    #[test]
+    fn ziggurat_layers_close_with_equal_area() {
+        let zig = &*ZIGGURAT;
+        let pdf = |x: f64| (-0.5 * x * x).exp();
+        assert_eq!(zig.x[1], ZIG_R);
+        assert_eq!(zig.x[ZIG_LAYERS], 0.0);
+        assert!(zig.x.windows(2).all(|w| w[0] > w[1]), "edges must decrease");
+        // Base layer: rectangle to R plus the exact tail beyond it.
+        let tail = (std::f64::consts::PI / 2.0).sqrt() * erfc(ZIG_R / std::f64::consts::SQRT_2);
+        let base = ZIG_R * pdf(ZIG_R) + tail;
+        assert!((base / ZIG_V - 1.0).abs() < 1e-12, "base area {base}");
+        // Every other layer, the top one included: the recursion must
+        // land on f(0) = 1 with the same area.
+        for i in 1..ZIG_LAYERS {
+            let area = zig.x[i] * (pdf(zig.x[i + 1]) - pdf(zig.x[i]));
+            assert!((area / ZIG_V - 1.0).abs() < 1e-12, "layer {i}: area {area}");
+        }
+    }
+
+    #[test]
+    fn standard_normal_matches_the_gaussian() {
+        let mut rng = Rng64::seed_from_u64(2017);
+        let n = 1_000_000;
+        let mut zs: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
+        let nf = n as f64;
+        let mean = zs.iter().sum::<f64>() / nf;
+        let moment = |k: i32| zs.iter().map(|z| (z - mean).powi(k)).sum::<f64>() / nf;
+        let var = moment(2);
+        let skew = moment(3) / var.powf(1.5);
+        let kurt = moment(4) / (var * var) - 3.0;
+        // Five standard errors each.
+        assert!(mean.abs() < 5.0 / nf.sqrt(), "mean {mean}");
+        assert!(
+            (var - 1.0).abs() < 5.0 * (2.0 / nf).sqrt(),
+            "variance {var}"
+        );
+        assert!(skew.abs() < 5.0 * (6.0 / nf).sqrt(), "skew {skew}");
+        assert!(
+            kurt.abs() < 5.0 * (24.0 / nf).sqrt(),
+            "excess kurtosis {kurt}"
+        );
+        // Two-sided tail masses (the 4σ one is mostly the tail sampler)
+        // inside 4σ binomial bounds.
+        for t in [3.0, 4.0] {
+            let p = erfc(t / std::f64::consts::SQRT_2);
+            let hits = zs.iter().filter(|z| z.abs() > t).count() as f64;
+            let bound = 4.0 * (nf * p * (1.0 - p)).sqrt();
+            assert!(
+                (hits - nf * p).abs() < bound,
+                "P(|z|>{t}): {hits} vs {}",
+                nf * p
+            );
+        }
+        // Kolmogorov–Smirnov against Φ at the 1 % level.
+        zs.sort_by(f64::total_cmp);
+        let d = zs
+            .iter()
+            .enumerate()
+            .map(|(i, &z)| {
+                let c = phi(z);
+                ((i + 1) as f64 / nf - c).max(c - i as f64 / nf)
+            })
+            .fold(0.0, f64::max);
+        assert!(d < 1.63 / nf.sqrt(), "KS statistic {d}");
+    }
+
+    #[test]
+    fn standard_normal_stream_is_pinned() {
+        // FNV-1a over the bit patterns of seed 1's first 1000 normals:
+        // the sampler's output contract. Any change here moves every
+        // simulation result and must come with regenerated goldens.
+        let mut rng = Rng64::seed_from_u64(1);
+        let digest = (0..1000)
+            .flat_map(|_| rng.standard_normal().to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(format!("{digest:016x}"), "d6d9554ecdd18765");
     }
 
     #[test]
