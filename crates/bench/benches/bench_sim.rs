@@ -31,6 +31,17 @@ fn main() {
         });
     }
 
+    // The widest slice count the sweeps run: a step's work scales with
+    // the 2N sides, so this case shows the step loop's cost most.
+    let wide = AdcSpec::paper_40nm()
+        .expect("spec")
+        .with_slices(16)
+        .expect("16 slices");
+    runner.bench(&format!("adc_sim_run_tone_40nm_16sl_{cycles}cyc"), || {
+        let mut sim = AdcSimulator::new(wide.clone()).expect("simulator");
+        black_box(sim.run_tone(1e6, 0.1, cycles))
+    });
+
     for steps in [8usize, 16, 32] {
         let mut spec = AdcSpec::paper_40nm().expect("spec");
         spec.steps_per_cycle = steps;

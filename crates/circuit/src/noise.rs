@@ -29,6 +29,7 @@ impl SimRng {
     }
 
     /// Uniform sample in `[0, 1)`.
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         self.inner.gen_f64()
     }
@@ -40,16 +41,16 @@ impl SimRng {
     }
 
     /// Gaussian sample with explicit standard deviation.
+    #[inline]
     pub fn gaussian(&mut self, sigma: f64) -> f64 {
         self.standard_normal() * sigma
     }
 
     /// Fills `out` with standard normals: exactly `out.len()` repeated
-    /// [`Self::standard_normal`] calls.
+    /// [`Self::standard_normal`] calls (see
+    /// [`Rng64::fill_standard_normals`]).
     pub fn fill_standard_normals(&mut self, out: &mut [f64]) {
-        for z in out {
-            *z = self.inner.standard_normal();
-        }
+        self.inner.fill_standard_normals(out);
     }
 
     /// Derives an independent child RNG (for per-instance streams) without
@@ -90,7 +91,7 @@ mod tests {
     #[test]
     fn fill_matches_scalar_draws_exactly() {
         // The batched path must consume the stream identically to scalar
-        // calls — including odd lengths and a pre-existing cached half.
+        // calls, at any length.
         for len in [0usize, 1, 2, 3, 7, 16, 63, 64, 65, 200] {
             let mut scalar = SimRng::new(1234 + len as u64);
             let mut batched = SimRng::new(1234 + len as u64);
@@ -100,8 +101,7 @@ mod tests {
             for (e, g) in expect.iter().zip(&got) {
                 assert_eq!(e.to_bits(), g.to_bits(), "len {len}");
             }
-            // Both RNGs must agree on every subsequent draw (cache state
-            // and uniform stream fully in sync).
+            // Both RNGs must agree on every subsequent draw.
             for _ in 0..5 {
                 assert_eq!(
                     scalar.standard_normal().to_bits(),
@@ -109,7 +109,7 @@ mod tests {
                 );
             }
         }
-        // Odd length leaves a cached half; a following fill must use it.
+        // Consecutive fills continue one stream.
         let mut scalar = SimRng::new(77);
         let mut batched = SimRng::new(77);
         let expect: Vec<f64> = (0..8).map(|_| scalar.standard_normal()).collect();

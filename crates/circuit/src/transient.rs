@@ -174,6 +174,40 @@ impl Clock {
         edge
     }
 
+    /// Fixed-grid mode: the step of a period, counted from 1 after its
+    /// rising edge, on which the falling edge lands. `None` in generic
+    /// mode, or when the duty leaves no grid index in the low half.
+    pub fn falling_step(&self) -> Option<u64> {
+        self.steps_per_period
+            .filter(|&n| self.high_steps < n)
+            .map(|_| self.high_steps)
+    }
+
+    /// Fixed-grid mode: advances one whole period, from a rising edge
+    /// (or the start) to the next rising edge, landing in exactly the
+    /// state `steps_per_period` calls of [`advance`](Clock::advance)
+    /// reach. A period-blocked simulator takes its edge steps from
+    /// [`falling_step`](Clock::falling_step) and the period length.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the clock has a fixed grid with both edges
+    /// ([`falling_step`](Clock::falling_step) is `Some`) and sits on a
+    /// period boundary.
+    pub fn advance_period(&mut self) {
+        let n = match (self.steps_per_period, self.falling_step()) {
+            (Some(n), Some(_)) => n,
+            _ => panic!("advance_period needs a fixed grid with both clock edges"),
+        };
+        assert!(
+            self.steps.is_multiple_of(n),
+            "advance_period must start on a period boundary"
+        );
+        self.steps += n;
+        self.rising_edges += 1;
+        self.level = true;
+    }
+
     /// Elapsed time in seconds (generic mode: `base + steps · dt`).
     fn time_s(&self) -> f64 {
         self.time_base_s + self.steps as f64 * self.dt_s
@@ -324,6 +358,45 @@ mod tests {
             }
         }
         assert_eq!(high, 4_000);
+    }
+
+    #[test]
+    fn advance_period_matches_stepping_one_period() {
+        // The period-blocked path must land where per-step stepping does,
+        // with the falling edge on the step `falling_step` names.
+        for spp in [4u64, 5, 7, 8, 16] {
+            for duty in [0.25, 0.5, 0.7] {
+                let mut blocked = Clock::new(1e6).with_duty(duty).with_steps_per_period(spp);
+                let mut stepped = blocked.clone();
+                let fall = blocked.falling_step().expect("both edges on the grid");
+                for _ in 0..3 {
+                    blocked.advance_period();
+                    for k in 1..=spp {
+                        let expect = if k == fall {
+                            EdgeKind::Falling
+                        } else if k == spp {
+                            EdgeKind::Rising
+                        } else {
+                            EdgeKind::None
+                        };
+                        assert_eq!(stepped.advance(0.0), expect, "spp {spp} duty {duty} k {k}");
+                    }
+                    assert_eq!(blocked, stepped, "spp {spp} duty {duty}");
+                }
+            }
+        }
+        // Duty 0.5 on an odd grid: the high half takes the middle index.
+        let clk = Clock::new(1e6).with_steps_per_period(5);
+        assert_eq!(clk.falling_step(), Some(3));
+        assert_eq!(Clock::new(1e6).falling_step(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "period boundary")]
+    fn advance_period_off_the_boundary_panics() {
+        let mut clk = Clock::new(1e6).with_steps_per_period(4);
+        clk.advance(0.0);
+        clk.advance_period();
     }
 
     #[test]

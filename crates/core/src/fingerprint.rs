@@ -88,9 +88,11 @@ fn digest_of(spec: AdcSpec) -> Result<u64, CoreError> {
     let spec = spec.validated()?;
     let mut sim = AdcSimulator::new(spec.clone())?;
     let amplitude = 0.5 * spec.full_scale_v();
-    let capture = sim.run_tone(2.5e6, amplitude, GOLDEN_SAMPLES);
+    // Span-free: the fingerprint's own run is not user work, so it must
+    // not show up in stage tables.
+    let capture = sim.run_tone_untraced(2.5e6, amplitude, GOLDEN_SAMPLES);
     let mut scratch = SpectrumScratch::new();
-    let analysis = capture.analyze_with(spec.bw_hz, &mut scratch);
+    let analysis = capture.analyze_untraced(spec.bw_hz, &mut scratch);
     Ok(fnv1a64(
         &analysis.sndr_db.to_bits().to_le_bytes(),
         FNV_BASIS,

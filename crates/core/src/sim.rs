@@ -26,7 +26,7 @@ use std::fmt;
 use tdsigma_circuit::comparator::{ClockedComparator, CommonModeWindow, ComparatorParams};
 use tdsigma_circuit::mismatch::MismatchModel;
 use tdsigma_circuit::noise::SimRng;
-use tdsigma_circuit::transient::{Clock, EdgeKind};
+use tdsigma_circuit::transient::Clock;
 use tdsigma_circuit::vco::VcoParams;
 use tdsigma_dsp::metrics::ToneAnalysis;
 use tdsigma_dsp::spectrum::{Spectrum, SpectrumScratch};
@@ -93,15 +93,21 @@ impl fmt::Display for ComparatorFlavor {
     }
 }
 
-// The per-timestep state lives in structure-of-arrays form (see the
+// The simulator state lives in structure-of-arrays form (see the
 // fields of [`AdcSimulator`]): contiguous `Vec<f64>` per quantity,
 // interleaved `[p0, n0, p1, n1, …]` over the 2N node/VCO "sides" so the
 // layout matches the scalar engine's per-slice p-then-n order — which
-// is also the RNG draw-order contract (below). The old array-of-structs
-// `Vec<Slice>` walked six heap objects per slice per step; the SoA form
-// keeps the node and phase updates in straight-line array arithmetic
-// the compiler can vectorize, and hoists every per-step-constant
-// (RC decay factor, thermal σ, phase-noise σ, f0·(1+δ)) out of the loop.
+// is also the RNG draw-order contract (below). Every per-step constant
+// (RC decay factor, thermal σ, phase-noise σ, f0·(1+δ)) is hoisted out
+// of the step loop.
+//
+// `run` advances one clock period at a time: it evaluates the period's
+// input drives, draws the period's normals in one fill, then integrates
+// slice by slice, both sides of a slice through every step of the
+// period with their state in registers, and finally resolves the rising
+// edge. Each side's arithmetic, and the order of every floating-point
+// accumulation, is exactly that of stepping all sides together; DESIGN
+// §14 gives the argument and `tests/scalar_reference.rs` the proof.
 //
 // # RNG draw-order contract
 //
@@ -148,6 +154,13 @@ struct PhaseWrap {
     err: f64,
 }
 
+/// Lower edge of the quantizer's saturated band: `3·sin x` clips to ±1
+/// wherever `|sin x| ≥ 1/3`, i.e. for `x mod π` in `[asin(1/3), π −
+/// asin(1/3)]`. Rounded *up* from asin(1/3) = 0.339836909…, so every
+/// angle inside the band tested has `|sin x|` above 1/3 by ≥2.9e-6 — far
+/// more than the ≤1-ulp error of `sin` and the rounding of `·3`.
+const SAT_EDGE: f64 = 0.339_84;
+
 impl PhaseWrap {
     fn new(phase: f64) -> Self {
         PhaseWrap {
@@ -189,6 +202,47 @@ impl PhaseWrap {
         self.rem = r;
         self.err = 0.0;
         r < PI
+    }
+
+    /// The buffered tap level `(x.sin() * 3.0).clamp(-1.0, 1.0)` of
+    /// `x = phase + shift + offset`, where `phase` is the phase last
+    /// passed to [`Self::level`]: bit-identical, but `sin` runs only
+    /// when [`Self::saturated`] cannot decide (near zero crossings).
+    #[inline]
+    fn tap_level(&self, phase: f64, shift: f64, offset: f64) -> f64 {
+        let x = phase + shift + offset;
+        self.saturated(x, shift, offset)
+            .unwrap_or_else(|| (x.sin() * 3.0).clamp(-1.0, 1.0))
+    }
+
+    /// `Some(±1.0)` when the tap argument `x = phase + shift + offset`
+    /// provably lies in the saturated band, else `None`.
+    ///
+    /// `y`, the tracked remainder plus `shift + offset`, approximates
+    /// `x mod 2π` to within the tracked error, the roundings of `x`
+    /// itself and the gap between `TWO_PI` and 2π (each a few ulp of
+    /// |x|), and the roundings of `y` (a few ulp of 2π). `tol` bounds
+    /// their sum; `y` must clear the band edges by it.
+    #[inline]
+    fn saturated(&self, x: f64, shift: f64, offset: f64) -> Option<f64> {
+        if shift.abs() >= PI {
+            return None;
+        }
+        let mut y = self.rem + shift + offset;
+        if y >= TWO_PI {
+            y -= TWO_PI;
+        } else if y < 0.0 {
+            y += TWO_PI;
+        }
+        let tol = self.err + 2.0 * f64::EPSILON * x.abs() + 1e-14;
+        let edge = SAT_EDGE + tol;
+        if y >= edge && y <= PI - edge {
+            Some(1.0)
+        } else if y >= PI + edge && y <= TWO_PI - edge {
+            Some(-1.0)
+        } else {
+            None
+        }
     }
 }
 
@@ -243,6 +297,11 @@ impl SimCapture {
     /// captures of the same length should hold one scratch.
     pub fn spectrum_with(&self, window: Window, scratch: &mut SpectrumScratch) -> Spectrum {
         let _span = obs::span("flow.spectrum").attr("samples", self.output.len());
+        self.spectrum_untraced(window, scratch)
+    }
+
+    /// [`Self::spectrum_with`] without the `flow.spectrum` span.
+    fn spectrum_untraced(&self, window: Window, scratch: &mut SpectrumScratch) -> Spectrum {
         Spectrum::from_samples_scratch(
             &self.output,
             self.fs_hz,
@@ -272,6 +331,17 @@ impl SimCapture {
     pub fn analyze_with(&self, bw_hz: f64, scratch: &mut SpectrumScratch) -> ToneAnalysis {
         let spectrum = self.spectrum_with(Window::Hann, scratch);
         let _span = obs::span("flow.tone_metrics");
+        ToneAnalysis::of(&spectrum, Some(bw_hz))
+    }
+
+    /// [`Self::analyze_with`] without spans, for work that is not the
+    /// user's (the engine fingerprint's golden run).
+    pub(crate) fn analyze_untraced(
+        &self,
+        bw_hz: f64,
+        scratch: &mut SpectrumScratch,
+    ) -> ToneAnalysis {
+        let spectrum = self.spectrum_untraced(Window::Hann, scratch);
         ToneAnalysis::of(&spectrum, Some(bw_hz))
     }
 
@@ -347,11 +417,6 @@ pub struct AdcSimulator {
     vco_level: Vec<bool>,
     /// Incremental `rem_euclid(2π)` trackers for the level predicate.
     wrap: Vec<PhaseWrap>,
-    // --- per-step scratch (allocated once, reused every step).
-    z_node: Vec<f64>,
-    z_vco: Vec<f64>,
-    z_all: Vec<f64>,
-    pow: Vec<f64>,
     // --- per-slice digital state (length N).
     code: Vec<u8>,
     dac_code: Vec<u8>,
@@ -565,10 +630,6 @@ impl AdcSimulator {
             fbase,
             vco_level,
             wrap,
-            z_node: vec![0.0; sides],
-            z_vco: vec![0.0; sides],
-            z_all: vec![0.0; 2 * sides],
-            pow: vec![0.0; sides],
             code: vec![0; n],
             dac_code: vec![0; n],
             vco_edges: 0,
@@ -612,6 +673,11 @@ impl AdcSimulator {
     /// negligible fraction.
     pub fn run<F: Fn(f64) -> f64>(&mut self, input: F, n_samples: usize) -> SimCapture {
         let _span = obs::span("flow.transient").attr("samples", n_samples);
+        self.transient(input, n_samples)
+    }
+
+    /// [`Self::run`] without the `flow.transient` span.
+    fn transient<F: Fn(f64) -> f64>(&mut self, input: F, n_samples: usize) -> SimCapture {
         // Borrow-split the SoA state into locals once, so the hot loops
         // below index plain slices.
         let Self {
@@ -636,10 +702,6 @@ impl AdcSimulator {
             fbase,
             vco_level,
             wrap,
-            z_node,
-            z_vco,
-            z_all,
-            pow,
             code,
             dac_code,
             vco_edges,
@@ -652,14 +714,23 @@ impl AdcSimulator {
         let (thermal, phase_noise, sigma_f) = (*thermal, *phase_noise, *sigma_f);
         let n = spec.n_slices;
         let stages = spec.vco_stages;
-        let sides = 2 * n;
         let stride = stages + 1;
-        let dt = 1.0 / spec.fs_hz / spec.steps_per_cycle as f64;
+        let spc = spec.steps_per_cycle;
+        // 1-based step of the period on which the falling edge lands; the
+        // rising edge is the period's last step.
+        let fall = clock
+            .falling_step()
+            .expect("the simulator clock has a fixed grid with both edges")
+            as usize;
+        let dt = 1.0 / spec.fs_hz / spc as f64;
         let r_in = spec.rin_ohm;
         let kvco = spec.kvco_hz_per_v;
         let vcm = spec.vctrl_cm_v;
         let half = *buf_swing_v / 2.0;
         let buf_cm = *buf_cm_v;
+        let tap_offsets: Vec<f64> = (0..stages)
+            .map(|tap| PI * tap as f64 / stages as f64)
+            .collect();
         let mut output = Vec::with_capacity(n_samples);
         let mut slice_codes = Vec::with_capacity(n_samples * n);
         let mut resistor_energy = 0.0f64;
@@ -670,141 +741,159 @@ impl AdcSimulator {
         // enough to move a clock edge by a whole step (ISSUE 8).
         let mut step: u64 = 0;
 
+        // Period buffers. A period's normals are drawn in one fill: its
+        // steps draw nothing else, and the rising edge's draws follow the
+        // last step's. Within a step the contract's per-slice order holds
+        // (`nodeP, nodeN, vcoP, vcoN`, or only the pair whose source is
+        // on), so slice `i` finds step `s`'s normals at
+        // `z[s·per_step + i·per_slice..][..per_slice]`.
+        let per_slice = 2 * (thermal as usize + phase_noise as usize);
+        let per_step = per_slice * n;
+        let z_vco = if thermal { 2 } else { 0 };
+        let mut z = vec![0.0; spc * per_step];
+        // Per-step input drive and current term, P then N.
+        let mut drive = vec![[0.0; 2]; spc];
+        let mut in_term = vec![[0.0; 2]; spc];
+        // Per (step, slice) resistor power, P + N.
+        let mut pair_pow = vec![0.0; spc * n];
+        let mut edges = 0u64;
+
         while output.len() < n_samples {
-            step += 1;
-            *time_s = start_time + step as f64 * dt;
-            let vin = input(*time_s);
-            let drives = [spec.input_cm_v + vin / 2.0, spec.input_cm_v - vin / 2.0];
-            let in_term = [drives[0] / r_in, drives[1] / r_in];
-
-            // Batched noise draws, honouring the per-slice draw order
-            // of the RNG contract: node P, node N, VCO P, VCO N.
-            if thermal && phase_noise {
-                rng.fill_standard_normals(z_all);
-                for i in 0..n {
-                    z_node[2 * i] = z_all[4 * i];
-                    z_node[2 * i + 1] = z_all[4 * i + 1];
-                    z_vco[2 * i] = z_all[4 * i + 2];
-                    z_vco[2 * i + 1] = z_all[4 * i + 3];
-                }
-            } else if thermal {
-                rng.fill_standard_normals(z_node);
-            } else if phase_noise {
-                rng.fill_standard_normals(z_vco);
+            for s in 0..spc {
+                step += 1;
+                *time_s = start_time + step as f64 * dt;
+                let vin = input(*time_s);
+                drive[s] = [spec.input_cm_v + vin / 2.0, spec.input_cm_v - vin / 2.0];
+                in_term[s] = [drive[s][0] / r_in, drive[s][1] / r_in];
             }
+            rng.fill_standard_normals(&mut z);
 
-            // Node pass: exact exponential RC update toward the
-            // conductance-weighted target, discretised OU thermal noise.
-            for j in 0..sides {
-                let isum = in_term[j & 1] + dac_term[j];
-                let target = isum / node_gsum[j];
-                let mut v = target + (node_v[j] - target) * node_decay[j];
-                if thermal {
-                    v += z_node[j] * node_sigma[j];
-                }
-                node_v[j] = v;
-                let dv_in = drives[j & 1] - v;
-                let dv_dac = dac_drive[j] - v;
-                pow[j] = dv_in * dv_in / r_in + dv_dac * dv_dac / dac_r[j];
-            }
-            // Energy accumulates in slice order (P+N per slice, then ·dt)
-            // to keep the rounding sequence of the scalar engine.
+            // Slice-major integration: both sides of a slice run the
+            // whole period with their state in registers. Sides couple
+            // only through the rising edge at the period's end, and the
+            // falling edge's DAC update depends only on `code`, latched
+            // at the previous rising edge — so it is resolved here and
+            // applied from the step after the falling edge.
             for i in 0..n {
-                resistor_energy += (pow[2 * i] + pow[2 * i + 1]) * dt;
-            }
-
-            // VCO pass: dφ = 2π·f·dt with white-FM noise on f.
-            for j in 0..sides {
-                let mut f = (fbase[j] + kvco * (node_v[j] - vcm)).max(0.0);
-                if phase_noise {
-                    f += z_vco[j] * sigma_f;
-                }
-                let ph_old = phase[j];
-                let ph = ph_old + 2.0 * PI * f * dt;
-                phase[j] = ph;
-                let level = wrap[j].level(ph, ph - ph_old);
-                if level != vco_level[j] {
-                    *vco_edges += 1;
-                    vco_level[j] = level;
-                }
-            }
-
-            match clock.advance(dt) {
-                EdgeKind::Rising => {
-                    let mut sum = 0.0;
-                    // Clock jitter is common to every SAFF (one clock
-                    // tree); each VCO's sampled phase shifts by 2π·f·δt,
-                    // so the XOR sees only the *difference* frequency
-                    // times δt — the TD architecture's jitter tolerance.
-                    let jitter_s = if spec.clock_jitter_rms_s > 0.0 {
-                        rng.gaussian(spec.clock_jitter_rms_s)
-                    } else {
-                        0.0
-                    };
-                    for i in 0..n {
-                        // Multi-phase quantizer: every differential tap
-                        // pair of both rings is buffered and sampled, and
-                        // the per-tap XORs are summed — the slice code
-                        // resolves the phase difference to π/stages.
-                        let mut c = 0u8;
-                        let fp = (fbase[2 * i] + kvco * (node_v[2 * i] - vcm)).max(0.0);
-                        let fnn = (fbase[2 * i + 1] + kvco * (node_v[2 * i + 1] - vcm)).max(0.0);
-                        let jp = 2.0 * PI * fp * jitter_s;
-                        let jn = 2.0 * PI * fnn * jitter_s;
-                        for tap in 0..stages {
-                            let offset = PI * tap as f64 / stages as f64;
-                            // Buffer output: soft-clipped sine around the
-                            // low common mode (the VCO slews through its
-                            // transitions, where offset and noise act).
-                            let sp = ((phase[2 * i] + jp + offset).sin() * 3.0).clamp(-1.0, 1.0);
-                            let sn =
-                                ((phase[2 * i + 1] + jn + offset).sin() * 3.0).clamp(-1.0, 1.0);
-                            let q1 = cmp_p[i * stages + tap].sample(
-                                buf_cm + half * sp,
-                                buf_cm - half * sp,
-                                rng,
-                            );
-                            let q2 = cmp_n[i * stages + tap].sample(
-                                buf_cm + half * sn,
-                                buf_cm - half * sn,
-                                rng,
-                            );
-                            if q1 ^ q2 {
-                                c += 1;
-                            }
-                        }
-                        if c != code[i] {
-                            *d_toggles += 1;
-                        }
-                        code[i] = c;
-                        sum += c as f64;
-                    }
-                    output.push(sum);
-                    slice_codes.extend_from_slice(code);
-                }
-                EdgeKind::Falling => {
+                let js = [2 * i, 2 * i + 1];
+                let before = js.map(|j| (dac_term[j], dac_drive[j]));
+                if code[i] != dac_code[i] {
                     // The retiming latches are transparent in the low
                     // phase: the thermometer code reaches the DAC half a
                     // cycle after the decision (excess loop delay).
-                    for i in 0..n {
-                        if code[i] != dac_code[i] {
-                            *dac_toggles += code[i].abs_diff(dac_code[i]) as u64;
-                            dac_code[i] = code[i];
-                            // code high → pull VCTRLP down, VCTRLN up
-                            // (negative feedback through the inverters);
-                            // drive tables include the resistor mismatch.
-                            let c = dac_code[i] as usize;
-                            for j in [2 * i, 2 * i + 1] {
-                                dac_drive[j] = dac_table[j * stride + c];
-                                dac_term[j] = dac_drive[j] / dac_r[j];
-                            }
-                        }
+                    *dac_toggles += code[i].abs_diff(dac_code[i]) as u64;
+                    dac_code[i] = code[i];
+                    // code high → pull VCTRLP down, VCTRLN up (negative
+                    // feedback through the inverters); drive tables
+                    // include the resistor mismatch.
+                    let c = dac_code[i] as usize;
+                    for j in js {
+                        dac_drive[j] = dac_table[j * stride + c];
+                        dac_term[j] = dac_drive[j] / dac_r[j];
                     }
                 }
-                EdgeKind::None => {}
+                let after = js.map(|j| (dac_term[j], dac_drive[j]));
+                let gsum = js.map(|j| node_gsum[j]);
+                let decay = js.map(|j| node_decay[j]);
+                let sigma = js.map(|j| node_sigma[j]);
+                let r_dac = js.map(|j| dac_r[j]);
+                let f0 = js.map(|j| fbase[j]);
+                let mut v = js.map(|j| node_v[j]);
+                let mut ph = js.map(|j| phase[j]);
+                let mut w = js.map(|j| wrap[j]);
+                let mut level = js.map(|j| vco_level[j]);
+                let z_slice = per_slice * i;
+                for s in 0..spc {
+                    let dac = if s < fall { before } else { after };
+                    let zs = &z[s * per_step + z_slice..][..per_slice];
+                    let mut pow = [0.0; 2];
+                    for b in 0..2 {
+                        // Node: exact exponential RC update toward the
+                        // conductance-weighted target, discretised OU
+                        // thermal noise.
+                        let isum = in_term[s][b] + dac[b].0;
+                        let target = isum / gsum[b];
+                        let mut vb = target + (v[b] - target) * decay[b];
+                        if thermal {
+                            vb += zs[b] * sigma[b];
+                        }
+                        v[b] = vb;
+                        let dv_in = drive[s][b] - vb;
+                        let dv_dac = dac[b].1 - vb;
+                        pow[b] = dv_in * dv_in / r_in + dv_dac * dv_dac / r_dac[b];
+                        // VCO: dφ = 2π·f·dt with white-FM noise on f.
+                        let mut f = (f0[b] + kvco * (vb - vcm)).max(0.0);
+                        if phase_noise {
+                            f += zs[z_vco + b] * sigma_f;
+                        }
+                        let ph_old = ph[b];
+                        ph[b] = ph_old + 2.0 * PI * f * dt;
+                        let l = w[b].level(ph[b], ph[b] - ph_old);
+                        if l != level[b] {
+                            edges += 1;
+                            level[b] = l;
+                        }
+                    }
+                    pair_pow[s * n + i] = pow[0] + pow[1];
+                }
+                for (b, j) in js.into_iter().enumerate() {
+                    node_v[j] = v[b];
+                    phase[j] = ph[b];
+                    wrap[j] = w[b];
+                    vco_level[j] = level[b];
+                }
             }
+            // Energy accumulates step-major, then in slice order (P+N per
+            // slice, then ·dt), keeping the scalar engine's rounding
+            // sequence.
+            for p in &pair_pow {
+                resistor_energy += p * dt;
+            }
+            clock.advance_period();
+
+            // Rising edge, on the period's last step.
+            let mut sum = 0.0;
+            // Clock jitter is common to every SAFF (one clock tree); each
+            // VCO's sampled phase shifts by 2π·f·δt, so the XOR sees only
+            // the *difference* frequency times δt — the TD architecture's
+            // jitter tolerance.
+            let jitter_s = if spec.clock_jitter_rms_s > 0.0 {
+                rng.gaussian(spec.clock_jitter_rms_s)
+            } else {
+                0.0
+            };
+            for i in 0..n {
+                // Multi-phase quantizer: every differential tap pair of
+                // both rings is buffered and sampled, and the per-tap
+                // XORs are summed — the slice code resolves the phase
+                // difference to π/stages.
+                let mut c = 0u8;
+                let fp = (fbase[2 * i] + kvco * (node_v[2 * i] - vcm)).max(0.0);
+                let fnn = (fbase[2 * i + 1] + kvco * (node_v[2 * i + 1] - vcm)).max(0.0);
+                let jp = 2.0 * PI * fp * jitter_s;
+                let jn = 2.0 * PI * fnn * jitter_s;
+                for (tap, &offset) in tap_offsets.iter().enumerate() {
+                    let sp = wrap[2 * i].tap_level(phase[2 * i], jp, offset);
+                    let sn = wrap[2 * i + 1].tap_level(phase[2 * i + 1], jn, offset);
+                    let q1 =
+                        cmp_p[i * stages + tap].sample(buf_cm + half * sp, buf_cm - half * sp, rng);
+                    let q2 =
+                        cmp_n[i * stages + tap].sample(buf_cm + half * sn, buf_cm - half * sn, rng);
+                    if q1 ^ q2 {
+                        c += 1;
+                    }
+                }
+                if c != code[i] {
+                    *d_toggles += 1;
+                }
+                code[i] = c;
+                sum += c as f64;
+            }
+            output.push(sum);
+            slice_codes.extend_from_slice(code);
         }
 
+        *vco_edges += edges;
         let activity = Activity {
             vco_edges: *vco_edges,
             clk_cycles: n_samples as u64,
@@ -832,9 +921,25 @@ impl AdcSimulator {
     /// Convenience: runs a single-tone test at `fin_hz` with differential
     /// amplitude `amplitude_v` for `n_samples` cycles.
     pub fn run_tone(&mut self, fin_hz: f64, amplitude_v: f64, n_samples: usize) -> SimCapture {
-        let w = 2.0 * PI * fin_hz;
-        self.run(|t| amplitude_v * (w * t).sin(), n_samples)
+        self.run(tone(fin_hz, amplitude_v), n_samples)
     }
+
+    /// [`Self::run_tone`] without the `flow.transient` span, for work
+    /// that is not the user's (the engine fingerprint's golden run).
+    pub(crate) fn run_tone_untraced(
+        &mut self,
+        fin_hz: f64,
+        amplitude_v: f64,
+        n_samples: usize,
+    ) -> SimCapture {
+        self.transient(tone(fin_hz, amplitude_v), n_samples)
+    }
+}
+
+/// A sine input of frequency `fin_hz` and amplitude `amplitude_v`.
+fn tone(fin_hz: f64, amplitude_v: f64) -> impl Fn(f64) -> f64 {
+    let w = 2.0 * PI * fin_hz;
+    move |t| amplitude_v * (w * t).sin()
 }
 
 impl fmt::Debug for AdcSimulator {
@@ -1043,6 +1148,70 @@ mod tests {
                 assert_eq!(got, expect, "seed {seed} step {step} phase {phase}");
             }
         }
+    }
+
+    #[test]
+    fn saturation_shortcut_matches_sin_exactly() {
+        // The tap level must equal `(x.sin() * 3.0).clamp(-1.0, 1.0)`
+        // bit for bit on phase walks like the sim's, at phases ≥ 1e5 rad
+        // too, with jitter shifts of both signs and with shifts aimed
+        // at the band edges asin(1/3) and π ± asin(1/3) (and 2π − it).
+        let a = (1.0f64 / 3.0).asin();
+        let edges = [a, PI - a, PI + a, TWO_PI - a];
+        let nudges = [
+            0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 3e-6, -3e-6, 1e-5, -1e-5, 3e-5, -3e-5,
+            1e-4, -1e-4,
+        ];
+        let offsets: Vec<f64> = (0..4).map(|tap| PI * tap as f64 / 4.0).collect();
+        let (mut taps, mut shortcut) = (0u64, 0u64);
+        // Up to 1e11 rad, where `x` itself rounds to ~1.5e-5 rad and
+        // `TWO_PI` is off 2π by ~4e-6 rad per 1e11: only the tolerance
+        // keeps the shortcut exact there.
+        for (seed, start) in [(0u64, 0.0), (1, 10.0), (2, 1e5), (3, 3.7e6), (4, 1e11)] {
+            let mut rng = SimRng::new(seed);
+            let mut phase = start + rng.uniform() * TWO_PI;
+            let mut w = PhaseWrap::new(phase);
+            for step in 0..20_000 {
+                let inc = if step % 997 == 0 {
+                    TWO_PI * (1.0 + rng.uniform()) // exact-resync path
+                } else {
+                    0.078 + 0.02 * rng.standard_normal()
+                };
+                let old = phase;
+                phase += inc;
+                w.level(phase, phase - old);
+                let jitter = 2e-4 * rng.standard_normal();
+                for &offset in &offsets {
+                    let mut shifts = vec![0.0, jitter, -jitter];
+                    if step % 16 == 0 {
+                        // Aim `rem + shift + offset` at each band edge.
+                        for &edge in &edges {
+                            let mut to_edge = edge - (w.rem + offset);
+                            to_edge -= TWO_PI * (to_edge / TWO_PI).round();
+                            shifts.extend(nudges.iter().map(|&d| to_edge + d));
+                        }
+                    }
+                    for (k, shift) in shifts.into_iter().enumerate() {
+                        let x = phase + shift + offset;
+                        let expect = (x.sin() * 3.0).clamp(-1.0, 1.0);
+                        let got = w.tap_level(phase, shift, offset);
+                        assert_eq!(
+                            got.to_bits(),
+                            expect.to_bits(),
+                            "seed {seed} step {step} phase {phase} shift {shift} offset {offset}"
+                        );
+                        if k < 3 {
+                            taps += 1;
+                            shortcut += w.saturated(x, shift, offset).is_some() as u64;
+                        }
+                    }
+                }
+            }
+        }
+        // Sim-like taps (no aimed shift) saturate on 1 − 4·asin(1/3)/2π
+        // ≈ 78 % of phases; the shortcut must decide nearly all of them.
+        let share = shortcut as f64 / taps as f64;
+        assert!(share > 0.75, "the shortcut decided only {share:.3} of taps");
     }
 
     #[test]
