@@ -226,9 +226,6 @@ pub struct DispatchConfig {
     /// hedge attempt forwards only the *remaining* budget, so a backend
     /// can refuse work the job has no time left for.
     pub deadline_ms: u64,
-    /// Client id attached to every frame for per-client admission
-    /// quotas; empty uses a pid-derived default.
-    pub client_id: String,
     /// Deterministic network-fault injection for chaos runs.
     pub faults: FaultPlan,
     /// Sampled redundant verification rate, permille (0 disables — the
@@ -320,36 +317,26 @@ impl Backend {
         }
     }
 
-    /// Health-checks the backend and compares its advertised engine
-    /// fingerprint against this process's. Returns `true` only for a
-    /// reachable backend with a matching fingerprint (clearing any skew
-    /// mark); a mismatch marks the backend skewed and counts under
-    /// `dispatch.<addr>.version_skew`.
-    fn verify_fingerprint(&self) -> bool {
-        match self.client.health() {
-            Ok(h) if h.fingerprint == tdsigma_core::engine_fingerprint() => {
-                self.skewed.store(false, Ordering::Relaxed);
-                true
+    /// Health-checks the backend and re-decides its skew mark from the
+    /// advertised engine fingerprint: a match clears the mark; a
+    /// mismatch sets it, counts under `dispatch.<addr>.version_skew` and
+    /// warns once. `None` means the backend did not answer.
+    fn probe(&self) -> Option<BackendHealth> {
+        let health = self.client.health().ok()?;
+        if health.fingerprint_matches() {
+            self.skewed.store(false, Ordering::Relaxed);
+        } else {
+            self.metrics.version_skew.inc();
+            if !self.skewed.swap(true, Ordering::Relaxed) {
+                eprintln!(
+                    "warning: backend {} excluded: engine fingerprint {} != local {}",
+                    self.client.addr(),
+                    health.fingerprint,
+                    tdsigma_core::engine_fingerprint(),
+                );
             }
-            Ok(h) => {
-                self.mark_skewed(&h.fingerprint);
-                false
-            }
-            Err(_) => false,
         }
-    }
-
-    fn mark_skewed(&self, theirs: &str) {
-        self.metrics.version_skew.inc();
-        if !self.skewed.swap(true, Ordering::Relaxed) {
-            let theirs = if theirs.is_empty() { "unknown" } else { theirs };
-            eprintln!(
-                "warning: backend {} excluded: engine fingerprint {} != local {}",
-                self.client.addr(),
-                theirs,
-                tdsigma_core::engine_fingerprint(),
-            );
-        }
+        Some(health)
     }
 
     /// Whether a `retry_after_ms` cooldown from a busy rejection is
@@ -441,18 +428,12 @@ impl Dispatcher {
     /// Builds a dispatcher over `config.backends`, with `local` as the
     /// in-process runner (rotation member or last-resort fallback).
     pub fn new(config: &DispatchConfig, local: Arc<Runner>) -> Arc<Self> {
-        let client_id = if config.client_id.is_empty() {
-            format!("dispatch-{}", std::process::id())
-        } else {
-            config.client_id.clone()
-        };
         let backends = config
             .backends
             .iter()
             .map(|addr| {
                 Arc::new(Backend {
                     client: RemoteClient::with_config(addr.clone(), config.remote.clone())
-                        .with_client_id(client_id.clone())
                         .with_faults(config.faults),
                     breaker: CircuitBreaker::new(config.breaker.clone()),
                     metrics: BackendMetrics::register(addr),
@@ -502,21 +483,12 @@ impl Dispatcher {
         self.backends
             .iter()
             .map(|b| {
-                let health = match b.client.health() {
-                    Ok(h) => {
-                        b.breaker.record_success();
-                        if h.fingerprint == tdsigma_core::engine_fingerprint() {
-                            b.skewed.store(false, Ordering::Relaxed);
-                        } else {
-                            b.mark_skewed(&h.fingerprint);
-                        }
-                        Some(h)
-                    }
-                    Err(_) => {
-                        b.breaker.record_failure();
-                        None
-                    }
-                };
+                let health = b.probe();
+                if health.is_some() {
+                    b.breaker.record_success();
+                } else {
+                    b.breaker.record_failure();
+                }
                 b.gauge();
                 (b.client.addr().to_string(), health)
             })
@@ -635,10 +607,13 @@ impl Dispatcher {
                     // carrying a job: the probe is how a replaced
                     // binary (matching again) rejoins the rotation, and
                     // how a mismatched one keeps its breaker open
-                    // instead of corrupting results. A failed check
+                    // instead of corrupting results. A failed check —
+                    // no answer, or still skewed after the probe —
                     // resolves the admit() claim as a failure.
                     let half_open = backend.breaker.state() == BreakerState::HalfOpen;
-                    if (half_open || backend.skewed()) && !backend.verify_fingerprint() {
+                    if (half_open || backend.skewed())
+                        && (backend.probe().is_none() || backend.skewed())
+                    {
                         backend.breaker.record_failure();
                         backend.gauge();
                         continue;

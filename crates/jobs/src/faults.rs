@@ -120,7 +120,7 @@ pub struct FaultPlan {
     /// fleet's own opt-in.
     pub child_kill_permille: u16,
     /// Chance a server advertises a deliberately wrong engine
-    /// fingerprint in one supervision frame (health/ready/stats).
+    /// fingerprint in one supervision frame (health/stats).
     /// Exercises the dispatcher's and fleet's version-skew exclusion.
     /// Not part of [`FaultPlan::chaos`]: faking version skew changes
     /// fleet membership, which is its own opt-in like child kills.

@@ -14,6 +14,14 @@ use tdsigma_core::fingerprint::{fnv1a64, FNV_BASIS};
 use tdsigma_core::spec::AdcSpec;
 use tdsigma_tech::{NodeId, Technology};
 
+/// The largest job seed accepted anywhere a seed enters the system. The
+/// canonical JSON form ([`Job::to_json`]) carries the seed as a JSON
+/// number, which holds every integer up to 2^53 exactly and rounds above
+/// it — so a larger seed would silently change on its way through a
+/// journal, the wire or `sweep.json`. Inputs are checked against this
+/// bound before anything is planned or journaled.
+pub const MAX_SEED: u64 = 1 << 53;
+
 /// What the job computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
@@ -80,7 +88,8 @@ pub struct Job {
     /// DAC branch resistance, Ω (the feedback-current knob the design-
     /// space optimizer searches); 0.0 → the spec default (22 kΩ).
     pub rdac_ohm: f64,
-    /// RNG seed for mismatch and noise draws (one seed = one die).
+    /// RNG seed for mismatch and noise draws (one seed = one die); at
+    /// most [`MAX_SEED`].
     pub seed: u64,
 }
 
@@ -241,12 +250,7 @@ impl Job {
             steps_per_cycle: int("steps_per_cycle")? as usize,
             loop_gain: num("loop_gain")?,
             vco_stages: int("vco_stages")? as usize,
-            // Absent in pre-v2 journals and requests: 0.0 = spec default,
-            // which is exactly what those jobs meant.
-            rdac_ohm: match v.get("rdac_ohm") {
-                Some(Json::Null) | None => 0.0,
-                Some(x) => x.as_f64().ok_or_else(|| missing("rdac_ohm"))?,
-            },
+            rdac_ohm: num("rdac_ohm")?,
             seed: int("seed")?,
         })
     }
@@ -287,6 +291,16 @@ mod tests {
         let job2 = Job::sim(40.0, 750e6, 5e6);
         let back2 = Job::from_json(&Json::parse(&job2.to_json().to_text()).unwrap()).unwrap();
         assert_eq!(job2, back2);
+
+        // The largest accepted seed survives the JSON number exactly.
+        let job3 = Job {
+            seed: MAX_SEED,
+            ..job2
+        };
+        let text = job3.to_json().to_text();
+        assert!(text.contains("\"seed\":9007199254740992"), "{text}");
+        let back3 = Job::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(job3, back3);
     }
 
     #[test]
@@ -314,13 +328,13 @@ mod tests {
         let spec = job.to_spec().unwrap();
         assert_eq!(spec.rdac_ohm, 11_000.0);
         assert!((spec.full_scale_v() - 2.0 * base_fs).abs() < 1e-12);
-        // Pre-v2 JSON without the field parses to the spec default.
-        let legacy = r#"{"kind":"sim","node_nm":40,"slices":8,"fs_hz":750000000,
+        // The field is required: a job without it is refused, not
+        // silently given the spec default.
+        let no_rdac = r#"{"kind":"sim","node_nm":40,"slices":8,"fs_hz":750000000,
             "bw_hz":5000000,"samples":8192,"amplitude_rel":0.79,"fin_hz":null,
             "steps_per_cycle":0,"loop_gain":1,"vco_stages":0,"seed":2017}"#;
-        let back = Job::from_json(&Json::parse(legacy).unwrap()).unwrap();
-        assert_eq!(back.rdac_ohm, 0.0);
-        assert_eq!(back.key(), base_key);
+        let err = Job::from_json(&Json::parse(no_rdac).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("rdac_ohm"), "{err}");
     }
 
     #[test]

@@ -54,10 +54,8 @@ pub enum JournalRecord {
         /// The run this journal belongs to.
         run_id: String,
         /// The engine fingerprint of the process that planned the batch
-        /// (see [`tdsigma_core::engine_fingerprint`]). Empty on records
-        /// written before fingerprinting existed; resume treats empty as
-        /// "unknown, warn but proceed" and any other mismatch as a hard
-        /// error.
+        /// (see [`tdsigma_core::engine_fingerprint`]). Always written and
+        /// required on replay; resume treats a mismatch as a hard error.
         fingerprint: String,
         /// Every job in the batch, in original order.
         jobs: Vec<Job>,
@@ -108,12 +106,7 @@ impl JournalRecord {
             } => {
                 obj.push(("t".into(), Json::Str("batch_planned".into())));
                 obj.push(("run_id".into(), Json::Str(run_id.clone())));
-                // Emitted only when set, so pre-fingerprint records
-                // re-serialize byte-identically and their checksum envelopes
-                // still verify on replay.
-                if !fingerprint.is_empty() {
-                    obj.push(("fingerprint".into(), Json::Str(fingerprint.clone())));
-                }
+                obj.push(("fingerprint".into(), Json::Str(fingerprint.clone())));
                 obj.push((
                     "jobs".into(),
                     Json::Arr(jobs.iter().map(Job::to_json).collect()),
@@ -175,7 +168,7 @@ impl JournalRecord {
                 let fingerprint = v
                     .get("fingerprint")
                     .and_then(Json::as_str)
-                    .unwrap_or_default()
+                    .ok_or_else(|| JobError::Invalid("batch_planned missing 'fingerprint'".into()))?
                     .to_string();
                 let jobs = v
                     .get("jobs")
@@ -452,8 +445,7 @@ impl Journal {
 pub struct JournalReplay {
     /// The run id replayed.
     pub run_id: String,
-    /// Engine fingerprint recorded by the planning process (empty for
-    /// journals that predate fingerprinting).
+    /// Engine fingerprint recorded by the planning process.
     pub fingerprint: String,
     /// The planned batch, in original submission order.
     pub jobs: Vec<Job>,
@@ -605,11 +597,6 @@ mod tests {
                 fingerprint: "feedfacecafebeef".into(),
                 jobs: jobs.clone(),
             },
-            JournalRecord::BatchPlanned {
-                run_id: "r1-prefingerprint".into(),
-                fingerprint: String::new(),
-                jobs: jobs.clone(),
-            },
             JournalRecord::JobStarted { key: jobs[0].key() },
             JournalRecord::JobFinished { key: jobs[0].key() },
             JournalRecord::JobVerified { key: jobs[0].key() },
@@ -628,27 +615,40 @@ mod tests {
     }
 
     #[test]
-    fn pre_fingerprint_batch_planned_lines_still_verify() {
-        // A plan with no fingerprint serializes without the field at
-        // all, so journals written by pre-fingerprint binaries and by
-        // this one are byte-compatible and checksum-stable in both
-        // directions.
-        let rec = JournalRecord::BatchPlanned {
-            run_id: "old".into(),
-            fingerprint: String::new(),
+    fn replay_refuses_a_plan_without_a_fingerprint() {
+        // A plan is always written with the engine that planned it; a
+        // plan line without one (hand-made, or from a binary that never
+        // stamped plans) cannot be checked against this engine, so
+        // replay refuses it instead of resuming blind.
+        let dir = temp_dir("nofp");
+        fs::create_dir_all(&dir).unwrap();
+        let plan = JournalRecord::BatchPlanned {
+            run_id: "run-nofp".into(),
+            fingerprint: "0011223344556677".into(),
             jobs: two_jobs(),
         };
-        let line = rec.to_line();
-        assert!(
-            !line.contains("fingerprint"),
-            "empty fingerprint must not be emitted: {line}"
+        let Json::Obj(fields) = plan.to_json() else {
+            panic!("records are objects")
+        };
+        let unstamped = Json::Obj(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "fingerprint")
+                .collect(),
         );
-        match parse_line(line.trim_end()).expect("old-format line verifies") {
-            JournalRecord::BatchPlanned { fingerprint, .. } => {
-                assert_eq!(fingerprint, "", "missing field reads back empty");
-            }
-            other => panic!("wrong record: {other:?}"),
-        }
+        let finished = JournalRecord::JobFinished {
+            key: two_jobs()[0].key(),
+        };
+        let body = unstamped.to_text();
+        let crc = fnv1a64(body.as_bytes(), JOURNAL_FNV_BASIS);
+        let text = format!(
+            "{{\"crc64\":\"{crc:016x}\",\"rec\":{body}}}\n{}",
+            finished.to_line()
+        );
+        fs::write(journal_path(&dir, "run-nofp"), text).unwrap();
+        let err = Journal::replay(&dir, "run-nofp").unwrap_err();
+        assert!(err.to_string().contains("fingerprint"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use engine::{BatchReport, Engine, EngineConfig, EngineTotals};
 pub use error::JobError;
 pub use execute::execute;
 pub use faults::{AttemptFault, FaultPlan, FrameFault, NetFault};
-pub use job::{Job, JobKind};
+pub use job::{Job, JobKind, MAX_SEED};
 pub use journal::{gc_finished, validate_run_id, Journal, JournalGc, JournalRecord, JournalReplay};
 pub use json::Json;
 pub use metrics::{BackendDispatchStats, BatchMetrics, DispatchSummary, StageTimes};

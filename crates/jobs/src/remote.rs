@@ -73,12 +73,12 @@ pub enum RemoteError {
     /// The job is untainted — retry it on another backend or locally.
     Backend(String),
     /// The backend is healthy but full: it answered a structured
-    /// overload rejection (`busy`/`shed`/quota) with a computed
+    /// overload rejection (`busy`/`shed`) with a computed
     /// `retry_after_ms`. Not a failure — the peer executed the protocol
     /// perfectly — so this must cool the backend down for the hinted
     /// interval rather than count toward its circuit breaker.
     Busy {
-        /// The rejection message (`shedding load: …`, `quota exceeded…`).
+        /// The rejection message (`shedding load: …`, `server busy: …`).
         message: String,
         /// The backend's own estimate of when to come back, ms.
         retry_after_ms: u64,
@@ -123,11 +123,21 @@ pub struct BackendHealth {
     /// fresh restart from a long-lived backend at a glance.
     pub served_jobs: u64,
     /// The backend's engine fingerprint (see
-    /// [`tdsigma_core::engine_fingerprint`]). Empty when the backend
-    /// predates fingerprinting; anything different from the local value
-    /// means its reports are not interchangeable with locally computed
-    /// ones.
+    /// [`tdsigma_core::engine_fingerprint`]). Anything different from
+    /// the local value means its reports are not interchangeable with
+    /// locally computed ones.
     pub fingerprint: String,
+}
+
+impl BackendHealth {
+    /// Whether the backend advertised this process's engine fingerprint.
+    /// The one comparison every trust decision goes through: the
+    /// dispatcher's startup probe and re-verification, and the fleet
+    /// supervisor's adoption check. A mismatched (or absent) fingerprint
+    /// means the backend's reports must not mix with local ones.
+    pub fn fingerprint_matches(&self) -> bool {
+        self.fingerprint == tdsigma_core::engine_fingerprint()
+    }
 }
 
 /// A client for one backend address. Cheap to clone; every exchange
@@ -138,9 +148,6 @@ pub struct RemoteClient {
     addr: String,
     config: RemoteConfig,
     faults: FaultPlan,
-    /// Client id sent with every `run` frame, feeding the backend's
-    /// per-client quota buckets. `None` → the shared anonymous bucket.
-    client_id: Option<String>,
 }
 
 impl RemoteClient {
@@ -155,7 +162,6 @@ impl RemoteClient {
             addr: addr.into(),
             config,
             faults: FaultPlan::none(),
-            client_id: None,
         }
     }
 
@@ -163,14 +169,6 @@ impl RemoteClient {
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Names this client toward the backend's admission control. The id
-    /// rides as a `"client"` sibling of the job — never inside it.
-    #[must_use]
-    pub fn with_client_id(mut self, id: impl Into<String>) -> Self {
-        self.client_id = Some(id.into());
         self
     }
 
@@ -213,9 +211,6 @@ impl RemoteClient {
             ("cmd".into(), Json::Str("run".into())),
             ("job".into(), job.to_json()),
         ];
-        if let Some(id) = &self.client_id {
-            fields.push(("client".into(), Json::Str(id.clone())));
-        }
         if let Some(d) = deadline_ms {
             fields.push(("deadline_ms".into(), Json::Num(d as f64)));
         }
@@ -224,7 +219,8 @@ impl RemoteClient {
         accept_run_response(&response, &key)
     }
 
-    /// Health-checks the backend via the `health` op.
+    /// Health-checks the backend via the `health` op (liveness, load and
+    /// the advertised engine fingerprint in one frame).
     ///
     /// # Errors
     ///
@@ -253,45 +249,6 @@ impl RemoteClient {
                 .unwrap_or_default()
                 .to_string(),
         })
-    }
-
-    /// Health-checks the backend *and* requires its engine fingerprint
-    /// to match this process's — the connect-time verification the
-    /// fleet supervisor and other integrity-critical callers use. A
-    /// reachable backend with a different (or absent) fingerprint is a
-    /// [`RemoteError::Backend`] naming both values.
-    ///
-    /// # Errors
-    ///
-    /// [`RemoteError::Backend`] when the peer is unreachable, answers
-    /// garbage, or advertises a mismatched engine fingerprint.
-    pub fn verify_fingerprint(&self) -> Result<BackendHealth, RemoteError> {
-        let health = self.health()?;
-        let ours = tdsigma_core::engine_fingerprint();
-        if health.fingerprint != ours {
-            let theirs = if health.fingerprint.is_empty() {
-                "unknown (pre-fingerprint binary)"
-            } else {
-                health.fingerprint.as_str()
-            };
-            return Err(RemoteError::Backend(format!(
-                "{} engine fingerprint {} does not match local {}",
-                self.addr, theirs, ours
-            )));
-        }
-        Ok(health)
-    }
-
-    /// Asks the backend whether it can usefully take more work right now
-    /// (`ready` op).
-    ///
-    /// # Errors
-    ///
-    /// [`RemoteError::Backend`] when the peer is unreachable or answers
-    /// garbage.
-    pub fn ready(&self) -> Result<bool, RemoteError> {
-        let response = self.exchange(r#"{"cmd":"ready"}"#, &format!("{}|ready", self.addr))?;
-        Ok(response.get("ready").and_then(Json::as_bool) == Some(true))
     }
 
     /// Asks the backend to drain and exit (`shutdown` op; the server
@@ -578,15 +535,10 @@ mod tests {
         assert_eq!(health.status, "ok");
         assert_eq!(health.workers, 2);
         assert_eq!(health.served_jobs, 1);
-        assert_eq!(
-            health.fingerprint,
-            tdsigma_core::engine_fingerprint(),
+        assert!(
+            health.fingerprint_matches(),
             "an in-process backend advertises this process's fingerprint"
         );
-        client
-            .verify_fingerprint()
-            .expect("matching fingerprints verify");
-        assert!(client.ready().expect("ready"));
         shutdown(addr);
         handle.join().unwrap();
     }
@@ -653,7 +605,10 @@ mod tests {
         }
         // The faults were client-side: the backend is still healthy.
         let clean = RemoteClient::new(addr.to_string());
-        assert!(clean.ready().expect("ready after injected faults"));
+        assert_eq!(
+            clean.health().expect("health after injected faults").status,
+            "ok"
+        );
         shutdown(addr);
         handle.join().unwrap();
     }
@@ -999,7 +954,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_fingerprint_rejects_a_mismatched_backend() {
+    fn a_mismatched_or_absent_fingerprint_does_not_match() {
         // A live, protocol-correct peer built from a different binary:
         // health answers fine, but the fingerprint gives it away.
         let (addr, handle) = hostile_backend(|mut stream| {
@@ -1009,18 +964,12 @@ mod tests {
                   \"fingerprint\":\"ffffffffffffffff\"}}\n",
             );
         });
-        let client = fast_client(addr);
-        match client.verify_fingerprint() {
-            Err(RemoteError::Backend(m)) => {
-                assert!(m.contains("fingerprint"), "{m}");
-                assert!(m.contains("ffffffffffffffff"), "{m}");
-                assert!(m.contains(tdsigma_core::engine_fingerprint()), "{m}");
-            }
-            other => panic!("expected fingerprint mismatch, got {other:?}"),
-        }
+        let health = fast_client(addr).health().expect("health parses");
+        assert_eq!(health.fingerprint, "ffffffffffffffff");
+        assert!(!health.fingerprint_matches());
         handle.join().unwrap();
 
-        // A pre-fingerprint backend (no field at all) is equally
+        // A backend that advertises no fingerprint at all is equally
         // untrusted — absence of evidence is not a match.
         let (addr, handle) = hostile_backend(|mut stream| {
             let _ = stream.write_all(
@@ -1028,19 +977,15 @@ mod tests {
                   \"uptime_ms\":5,\"served_jobs\":0}}\n",
             );
         });
-        match fast_client(addr).verify_fingerprint() {
-            Err(RemoteError::Backend(m)) => {
-                assert!(m.contains("pre-fingerprint"), "{m}");
-            }
-            other => panic!("expected mismatch for absent fingerprint, got {other:?}"),
-        }
+        let health = fast_client(addr).health().expect("health parses");
+        assert!(!health.fingerprint_matches());
         handle.join().unwrap();
     }
 
     #[test]
-    fn client_id_and_deadline_ride_outside_the_job() {
-        // Against a real server: the identified, deadline-carrying
-        // request must produce byte-identical report JSON to a bare one.
+    fn deadline_rides_outside_the_job() {
+        // Against a real server: the deadline-carrying request must
+        // produce byte-identical report JSON to a bare one.
         let (addr, handle) = test_server();
         let job = Job {
             seed: 6,
@@ -1050,9 +995,8 @@ mod tests {
             .run_job(&job)
             .expect("bare run");
         let dressed = RemoteClient::new(addr.to_string())
-            .with_client_id("sweep-42")
             .run_job_with_deadline(&job, Some(120_000))
-            .expect("identified run");
+            .expect("deadline run");
         assert_eq!(
             bare.to_json().to_text(),
             dressed.to_json().to_text(),

@@ -1,32 +1,27 @@
 //! `tdsigma serve`: a line-protocol TCP front end over an [`Engine`].
 //!
-//! Protocol: one JSON request per line in, one JSON response per line
-//! out. A request is either a command object —
+//! Protocol: one JSON command object per line in, one JSON response per
+//! line out. Every request names its command:
 //!
 //! ```text
-//! {"cmd":"ping"}      → {"ok":true,"pong":true}
-//! {"cmd":"stats"}     → {"ok":true,"stats":{…}}
-//! {"cmd":"run","job":{…}} → {"ok":true,"report":{…}}
-//! {"cmd":"shutdown"}  → {"ok":true,"bye":true}   (then the server stops)
+//! {"cmd":"ping"}              → {"ok":true,"pong":true}
+//! {"cmd":"stats"}             → {"ok":true,"stats":{…}}
+//! {"cmd":"health"}            → {"ok":true,"health":{…,"ready":true,…}}
+//! {"cmd":"run","job":{…}}     → {"ok":true,"report":{…},"attest":"…"}
+//! {"cmd":"shutdown"}          → {"ok":true,"bye":true}   (then the server stops)
 //! ```
 //!
-//! — or a job request in operator-friendly units (MHz, not Hz):
+//! `run` is the only way to submit work. It carries a full [`Job`] in its
+//! canonical Hz-units JSON form ([`Job::to_json`]), so every parameter
+//! round-trips bit-exactly and local and remote execution share one
+//! cache address. A frame without `cmd`, or with a malformed job, gets
+//! `{"ok":false,"error":"…"}` and the connection stays open. Results are
+//! cached exactly like sweep results: asking the same question twice
+//! executes one flow.
 //!
-//! ```text
-//! {"kind":"sim","node":40,"fs_mhz":750,"bw_mhz":5,"seed":7}
-//!   → {"ok":true,"report":{…}}
-//! ```
-//!
-//! Only `node`, `fs_mhz` and `bw_mhz` are required; everything else
-//! defaults to the paper's operating point (see [`Job::sim`]). Malformed
-//! requests get `{"ok":false,"error":"…"}` and the connection stays open.
-//! Results are cached exactly like sweep results: asking the same
-//! question twice executes one flow.
-//!
-//! The `run` command carries a full [`Job`] in its canonical Hz-units
-//! JSON form ([`Job::to_json`]) — the machine-to-machine path the
-//! distributed dispatcher uses, where every parameter must round-trip
-//! bit-exactly so local and remote execution share one cache address.
+//! `health` is the one liveness frame: worker heartbeats, counters, the
+//! engine fingerprint, and a `ready` verdict (false while a worker is
+//! stalled or the connection cap is reached, with a `reason`).
 //!
 //! `shutdown` is **disabled by default**: any LAN client can reach the
 //! socket, and a shared backend must not be killable by one of them.
@@ -35,31 +30,27 @@
 //! `{"ok":false,"error":"shutdown disabled"}` and the server keeps
 //! serving.
 //!
-//! **Admission control.** Every job request passes a three-stage gate
-//! before touching the engine: a per-client token-bucket quota (clients
-//! name themselves with a `"client"` field; [`ServerConfig::quota_burst`]),
-//! queue-depth/stalled-worker–aware load shedding
-//! ([`ServerConfig::max_queue_per_worker`]), and a deadline feasibility
-//! check (`"deadline_ms"`, the client's remaining budget). Overload
-//! rejections are structured — `{"ok":false,"busy":true,
-//! "retry_after_ms":N,…}` with `quota` or `shed` markers — so a client
-//! can distinguish "you are over quota" from "everyone must back off"
-//! and knows exactly when to come back. An admitted deadline becomes the
-//! job's soft deadline in the pool, so work whose client has given up is
-//! cut off instead of burning a worker. `client` and `deadline_ms` never
-//! enter the job itself: cache keys and reports are byte-identical with
-//! or without them.
+//! **Admission control.** Every `run` passes two gates before touching
+//! the engine: queue-depth/stalled-worker–aware load shedding
+//! ([`ServerConfig::max_queue_per_worker`]) and a deadline feasibility
+//! check against the estimated queue wait (`"deadline_ms"`, the client's
+//! remaining budget, a sibling of `job`). A shed answers
+//! `{"ok":false,"busy":true,"shed":true,"retry_after_ms":N,…}`, so a
+//! client knows exactly when to come back; a hopeless deadline answers
+//! `{"ok":false,"deadline_exceeded":true,…}`. An admitted deadline
+//! becomes the job's soft deadline in the pool, so work whose client has
+//! given up is cut off instead of burning a worker. `deadline_ms` never
+//! enters the job itself: cache keys and reports are byte-identical with
+//! or without it.
 
 use crate::engine::Engine;
 use crate::error::JobError;
-use crate::job::{Job, JobKind};
+use crate::job::Job;
 use crate::json::Json;
-use crate::pool::lock_unpoisoned;
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -80,20 +71,13 @@ pub struct ServerConfig {
     /// structured `busy` rejection line and are closed. 0 = unlimited.
     pub max_connections: usize,
     /// A busy worker silent for longer than this, ms, counts as stalled
-    /// in `health`/`ready` responses. 0 disables stall detection.
+    /// in `health` responses. 0 disables stall detection.
     pub stall_threshold_ms: u64,
     /// Whether the `shutdown` protocol command is honored. Off by
     /// default: any LAN client can reach the socket, and a shared
     /// backend must not be killable by one of them. When off, the
     /// command answers `{"ok":false,"error":"shutdown disabled"}`.
     pub allow_remote_shutdown: bool,
-    /// Per-client token-bucket quota: burst capacity in requests. A job
-    /// request names its client with a `"client"` field (anonymous
-    /// requests share the `"anon"` bucket). 0 disables quotas.
-    pub quota_burst: u32,
-    /// Token-bucket refill rate, requests per second per client. Only
-    /// meaningful when `quota_burst > 0`.
-    pub quota_refill_per_sec: f64,
     /// Load shedding: maximum job requests in flight (queued or
     /// executing) per *live* worker before new work is shed with a
     /// structured `retry_after_ms` rejection. Stalled workers do not
@@ -110,70 +94,25 @@ impl Default for ServerConfig {
             max_connections: 64,
             stall_threshold_ms: 30_000,
             allow_remote_shutdown: false,
-            quota_burst: 0,
-            quota_refill_per_sec: 8.0,
             max_queue_per_worker: 16,
         }
     }
 }
 
-/// Hard bound on distinct client buckets held in memory: beyond it,
-/// stale buckets are pruned, and if every bucket is live the request is
-/// rejected — an adversary inventing client ids cannot grow the map
-/// without bound.
-const MAX_CLIENT_BUCKETS: usize = 1024;
-
-/// A classic token bucket: capacity `burst`, refilled continuously at
-/// `refill_per_sec`.
-#[derive(Debug)]
-struct TokenBucket {
-    tokens: f64,
-    last: Instant,
-}
-
-impl TokenBucket {
-    fn full(burst: u32) -> Self {
-        TokenBucket {
-            tokens: burst as f64,
-            last: Instant::now(),
-        }
-    }
-
-    /// Takes one token if available; otherwise says how long until the
-    /// next token exists, ms.
-    fn take(&mut self, burst: u32, refill_per_sec: f64) -> Result<(), u64> {
-        let now = Instant::now();
-        let refill = now.duration_since(self.last).as_secs_f64() * refill_per_sec;
-        self.tokens = (self.tokens + refill).min(burst as f64);
-        self.last = now;
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            Ok(())
-        } else {
-            let wait_s = (1.0 - self.tokens) / refill_per_sec.max(1e-9);
-            Err((wait_s * 1e3).ceil() as u64)
-        }
-    }
-}
-
-/// Shared admission state: who is asking for how much, how deep the
-/// work queue is, and how long a job has been taking lately. One
-/// instance per server, visible to every connection thread.
+/// Shared admission state: how deep the work queue is and how long a
+/// job has been taking lately. One instance per server, visible to every
+/// connection thread.
 #[derive(Debug)]
 pub(crate) struct Admission {
-    quota_burst: u32,
-    quota_refill_per_sec: f64,
     max_queue_per_worker: usize,
     /// Job requests accepted and not yet answered (queued + executing).
     inflight: AtomicUsize,
     /// EWMA of recent job service time, µs (0 = no sample yet). Feeds
     /// the `retry_after_ms` hints and the deadline feasibility check.
     avg_service_us: AtomicU64,
-    buckets: Mutex<HashMap<String, TokenBucket>>,
     /// Lifetime rejection counts, mirrored onto the obs registry and
     /// reported by `health`.
     shed: AtomicU64,
-    quota_rejected: AtomicU64,
     deadline_rejected: AtomicU64,
 }
 
@@ -197,14 +136,10 @@ impl Drop for AdmissionTicket<'_> {
 impl Admission {
     fn new(config: &ServerConfig) -> Self {
         Admission {
-            quota_burst: config.quota_burst,
-            quota_refill_per_sec: config.quota_refill_per_sec,
             max_queue_per_worker: config.max_queue_per_worker,
             inflight: AtomicUsize::new(0),
             avg_service_us: AtomicU64::new(0),
-            buckets: Mutex::new(HashMap::new()),
             shed: AtomicU64::new(0),
-            quota_rejected: AtomicU64::new(0),
             deadline_rejected: AtomicU64::new(0),
         }
     }
@@ -243,26 +178,12 @@ impl Admission {
     /// complete structured rejection to send back.
     fn admit(
         &self,
-        client: &str,
         deadline_ms: Option<u64>,
         workers: usize,
         stalled: usize,
     ) -> Result<AdmissionTicket<'_>, Json> {
         let live_workers = workers.saturating_sub(stalled);
-        // 1. Quota: a client out of tokens is rejected regardless of how
-        // idle the server is — the bucket is the contract.
-        if self.quota_burst > 0 {
-            if let Err(wait_ms) = self.take_token(client) {
-                self.quota_rejected.fetch_add(1, Ordering::Relaxed);
-                tdsigma_obs::counter("serve.quota_rejected").inc();
-                return Err(busy_response(
-                    &format!("quota exceeded for client {client:?}"),
-                    wait_ms.max(1),
-                    &[("quota", Json::Bool(true))],
-                ));
-            }
-        }
-        // 2. Load shedding: bound the backlog by live workers, so a
+        // 1. Load shedding: bound the backlog by live workers, so a
         // stalled pool sheds earlier and a dead pool sheds everything.
         let depth = self.queue_depth();
         let cap = self.max_queue_per_worker * live_workers;
@@ -280,7 +201,7 @@ impl Admission {
                 &[("shed", Json::Bool(true))],
             ));
         }
-        // 3. Deadline feasibility: reject work whose remaining budget
+        // 2. Deadline feasibility: reject work whose remaining budget
         // cannot cover even the estimated queue wait — running it would
         // only produce a report nobody is still waiting for.
         if let Some(deadline) = deadline_ms {
@@ -308,24 +229,6 @@ impl Admission {
             started: Instant::now(),
         })
     }
-
-    fn take_token(&self, client: &str) -> Result<(), u64> {
-        let mut buckets = lock_unpoisoned(&self.buckets);
-        if !buckets.contains_key(client) && buckets.len() >= MAX_CLIENT_BUCKETS {
-            // Prune buckets idle long enough to have fully refilled —
-            // forgetting one of those loses no state.
-            let refill_s =
-                (self.quota_burst as f64 / self.quota_refill_per_sec.max(1e-9)).min(60.0);
-            buckets.retain(|_, b| b.last.elapsed().as_secs_f64() < refill_s);
-            if buckets.len() >= MAX_CLIENT_BUCKETS {
-                return Err(1_000); // every bucket live: back off, not OOM
-            }
-        }
-        buckets
-            .entry(client.to_string())
-            .or_insert_with(|| TokenBucket::full(self.quota_burst))
-            .take(self.quota_burst, self.quota_refill_per_sec)
-    }
 }
 
 /// A structured overload rejection: always `busy:true` and always a
@@ -346,7 +249,7 @@ fn busy_response(message: &str, retry_after_ms: u64, extra: &[(&str, Json)]) -> 
     Json::Obj(obj)
 }
 
-/// The supervision state `health`/`ready`/`stats` report from: the live
+/// The supervision state `health`/`stats` report from: the live
 /// connection count, the configured limits, and the process epoch the
 /// uptime counter runs against. A dispatcher health-checking a fleet
 /// uses `uptime_ms`/`served_jobs` to tell a freshly restarted backend
@@ -360,7 +263,7 @@ struct Supervision {
     started: Instant,
     admission: Arc<Admission>,
     /// Monotonic supervision-frame counter, shared by every connection:
-    /// each `health`/`ready`/`stats` response consumes one index so the
+    /// each `health`/`stats` response consumes one index so the
     /// `wrong_fingerprint` fault site draws deterministically per frame.
     frames: Arc<AtomicU64>,
 }
@@ -595,48 +498,39 @@ fn handle_line(line: &str, engine: &Engine, supervision: &Supervision) -> (Json,
         Ok(v) => v,
         Err(e) => return (error_response(&format!("malformed JSON: {e}")), false),
     };
-    if let Some(cmd) = request.get("cmd") {
-        return match cmd.as_str() {
-            Some("ping") => (ok_response(vec![("pong".into(), Json::Bool(true))]), false),
-            Some("stats") => (stats_response(engine, supervision), false),
-            Some("health") => (health_response(engine, supervision), false),
-            Some("ready") => (ready_response(engine, supervision), false),
-            Some("run") => (run_response(&request, engine, supervision), false),
-            Some("shutdown") if supervision.allow_remote_shutdown => {
-                (ok_response(vec![("bye".into(), Json::Bool(true))]), true)
-            }
-            Some("shutdown") => (error_response("shutdown disabled"), false),
-            _ => (
-                error_response(
-                    "unknown command (expected \"ping\", \"stats\", \"health\", \"ready\", \
-                     \"run\" or \"shutdown\")",
-                ),
-                false,
+    match request.get("cmd").and_then(Json::as_str) {
+        Some("ping") => (ok_response(vec![("pong".into(), Json::Bool(true))]), false),
+        Some("stats") => (stats_response(engine, supervision), false),
+        Some("health") => (health_response(engine, supervision), false),
+        Some("run") => (run_response(&request, engine, supervision), false),
+        Some("shutdown") if supervision.allow_remote_shutdown => {
+            (ok_response(vec![("bye".into(), Json::Bool(true))]), true)
+        }
+        Some("shutdown") => (error_response("shutdown disabled"), false),
+        Some(_) => (
+            error_response(
+                "unknown command (expected \"ping\", \"stats\", \"health\", \"run\" \
+                 or \"shutdown\")",
             ),
-        };
+            false,
+        ),
+        None => (
+            error_response(
+                "request needs a \"cmd\" string; submit jobs as \
+                 {\"cmd\":\"run\",\"job\":{…}} with the job in its canonical form",
+            ),
+            false,
+        ),
     }
-    // Friendly-units job request: `client`/`deadline_ms` are admission
-    // metadata, not job parameters — peel them off before the strict
-    // field check so they never reach the job (or its cache key).
-    let (client, deadline_ms, request) = match admission_fields(request) {
-        Ok(x) => x,
-        Err(e) => return (error_response(&e.to_string()), false),
-    };
-    let job = match job_from_request(&request) {
-        Ok(job) => job,
-        Err(e) => return (error_response(&e.to_string()), false),
-    };
-    (
-        admitted_run(engine, supervision, &client, deadline_ms, &job),
-        false,
-    )
 }
 
 /// Executes a `{"cmd":"run","job":{…}}` request: the job arrives in its
 /// canonical Hz-units JSON form ([`Job::to_json`]), so no unit
 /// conversion happens between a dispatcher and this backend — the cache
 /// key computed here is identical to the one the dispatcher computed.
-/// `client` and `deadline_ms` ride as siblings of `job`, never inside it.
+/// `deadline_ms` rides as a sibling of `job`, never inside it. The
+/// admission gate (shed, then deadline) runs before the engine, and any
+/// remaining budget maps onto the pool's soft-deadline machinery.
 fn run_response(request: &Json, engine: &Engine, supervision: &Supervision) -> Json {
     let Some(job_json) = request.get("job") else {
         return error_response("run request needs a \"job\" object");
@@ -645,32 +539,19 @@ fn run_response(request: &Json, engine: &Engine, supervision: &Supervision) -> J
         Ok(job) => job,
         Err(e) => return error_response(&e.to_string()),
     };
-    let (client, deadline_ms) = match (client_field(request), deadline_field(request)) {
-        (Ok(c), Ok(d)) => (c, d),
-        (Err(e), _) | (_, Err(e)) => return error_response(&e.to_string()),
+    let deadline_ms = match deadline_field(request) {
+        Ok(d) => d,
+        Err(e) => return error_response(&e.to_string()),
     };
-    admitted_run(engine, supervision, &client, deadline_ms, &job)
-}
-
-/// The admission gate plus the actual execution: quota → shed → deadline
-/// checks, then the job runs with any remaining budget mapped onto the
-/// pool's soft-deadline machinery.
-fn admitted_run(
-    engine: &Engine,
-    supervision: &Supervision,
-    client: &str,
-    deadline_ms: Option<u64>,
-    job: &Job,
-) -> Json {
     let stalled = engine.stalled_workers(supervision.stall_threshold_ms);
     let ticket = match supervision
         .admission
-        .admit(client, deadline_ms, engine.workers(), stalled)
+        .admit(deadline_ms, engine.workers(), stalled)
     {
         Ok(ticket) => ticket,
         Err(rejection) => return rejection,
     };
-    let result = engine.submit_one_with_deadline(job, deadline_ms.unwrap_or(0));
+    let result = engine.submit_one_with_deadline(&job, deadline_ms.unwrap_or(0));
     drop(ticket);
     match result {
         Ok(mut report) => {
@@ -692,17 +573,6 @@ fn admitted_run(
     }
 }
 
-/// Extracts and validates the optional `client` field (default `anon`).
-fn client_field(request: &Json) -> Result<String, JobError> {
-    match request.get("client") {
-        None | Some(Json::Null) => Ok("anon".into()),
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(JobError::Invalid(
-            "field \"client\" must be a string".into(),
-        )),
-    }
-}
-
 /// Extracts and validates the optional `deadline_ms` field: the client's
 /// remaining budget for this request, in ms.
 fn deadline_field(request: &Json) -> Result<Option<u64>, JobError> {
@@ -712,23 +582,6 @@ fn deadline_field(request: &Json) -> Result<Option<u64>, JobError> {
             JobError::Invalid("field \"deadline_ms\" must be a non-negative integer".into())
         }),
     }
-}
-
-/// Splits the admission metadata off a friendly-units request, returning
-/// `(client, deadline_ms, request-without-those-fields)`.
-fn admission_fields(request: Json) -> Result<(String, Option<u64>, Json), JobError> {
-    let client = client_field(&request)?;
-    let deadline_ms = deadline_field(&request)?;
-    let stripped = match request {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .filter(|(k, _)| k != "client" && k != "deadline_ms")
-                .collect(),
-        ),
-        other => other,
-    };
-    Ok((client, deadline_ms, stripped))
 }
 
 fn ok_response(mut fields: Vec<(String, Json)>) -> Json {
@@ -762,7 +615,10 @@ fn advertised_fingerprint(engine: &Engine, supervision: &Supervision) -> String 
 /// The liveness watchdog's verdict: worker heartbeats, connection
 /// pressure, and lifetime failure counts in one object. `status` is
 /// `"degraded"` the moment any busy worker goes silent past the stall
-/// threshold — the signal a supervisor alerts on.
+/// threshold — the signal a supervisor alerts on. `ready` says whether
+/// the server can usefully take another connection right now: false
+/// while any worker is stalled or the connection cap is reached, with a
+/// `reason` a load balancer can log.
 fn health_response(engine: &Engine, supervision: &Supervision) -> Json {
     tdsigma_obs::counter("serve.health_checks").inc();
     let beats = engine.heartbeats();
@@ -773,70 +629,6 @@ fn health_response(engine: &Engine, supervision: &Supervision) -> Json {
         .map(|h| h.age_ms)
         .max()
         .unwrap_or(0);
-    let stalled = engine.stalled_workers(supervision.stall_threshold_ms);
-    let totals = engine.totals();
-    let status = if stalled > 0 { "degraded" } else { "ok" };
-    ok_response(vec![(
-        "health".into(),
-        Json::Obj(vec![
-            ("status".into(), Json::Str(status.into())),
-            (
-                "fingerprint".into(),
-                Json::Str(advertised_fingerprint(engine, supervision)),
-            ),
-            ("workers".into(), Json::Num(beats.len() as f64)),
-            ("busy_workers".into(), Json::Num(busy as f64)),
-            ("stalled_workers".into(), Json::Num(stalled as f64)),
-            ("max_heartbeat_age_ms".into(), Json::Num(max_age as f64)),
-            (
-                "active_connections".into(),
-                Json::Num(supervision.active.load(Ordering::SeqCst) as f64),
-            ),
-            (
-                "max_connections".into(),
-                Json::Num(supervision.max_connections as f64),
-            ),
-            ("jobs".into(), Json::Num(totals.jobs as f64)),
-            ("failed".into(), Json::Num(totals.failed as f64)),
-            (
-                "cache_quarantined".into(),
-                Json::Num(engine.cache().quarantined() as f64),
-            ),
-            (
-                "uptime_ms".into(),
-                Json::Num(supervision.started.elapsed().as_millis() as f64),
-            ),
-            ("served_jobs".into(), Json::Num(totals.jobs as f64)),
-            (
-                "queue_depth".into(),
-                Json::Num(supervision.admission.queue_depth() as f64),
-            ),
-            (
-                "shed".into(),
-                Json::Num(supervision.admission.shed.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "quota_rejected".into(),
-                Json::Num(supervision.admission.quota_rejected.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "deadline_rejected".into(),
-                Json::Num(
-                    supervision
-                        .admission
-                        .deadline_rejected
-                        .load(Ordering::Relaxed) as f64,
-                ),
-            ),
-        ]),
-    )])
-}
-
-/// Readiness: can this server usefully take another connection right
-/// now? False while any worker is stalled or the connection cap is
-/// reached, with a `reason` a load balancer can log.
-fn ready_response(engine: &Engine, supervision: &Supervision) -> Json {
-    tdsigma_obs::counter("serve.health_checks").inc();
     let stalled = engine.stalled_workers(supervision.stall_threshold_ms);
     let active = supervision.active.load(Ordering::SeqCst);
     let at_cap = supervision.max_connections > 0 && active >= supervision.max_connections;
@@ -850,17 +642,59 @@ fn ready_response(engine: &Engine, supervision: &Supervision) -> Json {
     } else {
         None
     };
+    let totals = engine.totals();
+    let status = if stalled > 0 { "degraded" } else { "ok" };
     let mut fields = vec![
+        ("status".into(), Json::Str(status.into())),
         ("ready".into(), Json::Bool(reason.is_none())),
-        (
-            "fingerprint".into(),
-            Json::Str(advertised_fingerprint(engine, supervision)),
-        ),
     ];
     if let Some(reason) = reason {
         fields.push(("reason".into(), Json::Str(reason)));
     }
-    ok_response(fields)
+    fields.extend([
+        (
+            "fingerprint".into(),
+            Json::Str(advertised_fingerprint(engine, supervision)),
+        ),
+        ("workers".into(), Json::Num(beats.len() as f64)),
+        ("busy_workers".into(), Json::Num(busy as f64)),
+        ("stalled_workers".into(), Json::Num(stalled as f64)),
+        ("max_heartbeat_age_ms".into(), Json::Num(max_age as f64)),
+        ("active_connections".into(), Json::Num(active as f64)),
+        (
+            "max_connections".into(),
+            Json::Num(supervision.max_connections as f64),
+        ),
+        ("jobs".into(), Json::Num(totals.jobs as f64)),
+        ("failed".into(), Json::Num(totals.failed as f64)),
+        (
+            "cache_quarantined".into(),
+            Json::Num(engine.cache().quarantined() as f64),
+        ),
+        (
+            "uptime_ms".into(),
+            Json::Num(supervision.started.elapsed().as_millis() as f64),
+        ),
+        ("served_jobs".into(), Json::Num(totals.jobs as f64)),
+        (
+            "queue_depth".into(),
+            Json::Num(supervision.admission.queue_depth() as f64),
+        ),
+        (
+            "shed".into(),
+            Json::Num(supervision.admission.shed.load(Ordering::Relaxed) as f64),
+        ),
+        (
+            "deadline_rejected".into(),
+            Json::Num(
+                supervision
+                    .admission
+                    .deadline_rejected
+                    .load(Ordering::Relaxed) as f64,
+            ),
+        ),
+    ]);
+    ok_response(vec![("health".into(), Json::Obj(fields))])
 }
 
 fn stats_response(engine: &Engine, supervision: &Supervision) -> Json {
@@ -937,98 +771,6 @@ fn obs_snapshot_json() -> Json {
     ])
 }
 
-/// Builds a [`Job`] from a friendly-units request object. Unknown fields
-/// are rejected so a typo cannot silently fall back to a default.
-fn job_from_request(v: &Json) -> Result<Job, JobError> {
-    const KNOWN: [&str; 13] = [
-        "kind",
-        "node",
-        "slices",
-        "fs_mhz",
-        "bw_mhz",
-        "samples",
-        "amplitude",
-        "fin_mhz",
-        "steps",
-        "loop_gain",
-        "vco_stages",
-        "rdac_ohm",
-        "seed",
-    ];
-    let Json::Obj(fields) = v else {
-        return Err(JobError::Invalid("request must be a JSON object".into()));
-    };
-    if let Some((k, _)) = fields.iter().find(|(k, _)| !KNOWN.contains(&k.as_str())) {
-        return Err(JobError::Invalid(format!(
-            "unknown request field {k:?} (known: {})",
-            KNOWN.join(", ")
-        )));
-    }
-    let num = |k: &str| -> Result<Option<f64>, JobError> {
-        match v.get(k) {
-            None | Some(Json::Null) => Ok(None),
-            Some(x) => x
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| JobError::Invalid(format!("field {k:?} must be a number"))),
-        }
-    };
-    let int = |k: &str| -> Result<Option<u64>, JobError> {
-        match v.get(k) {
-            None | Some(Json::Null) => Ok(None),
-            Some(x) => x.as_u64().map(Some).ok_or_else(|| {
-                JobError::Invalid(format!("field {k:?} must be a non-negative integer"))
-            }),
-        }
-    };
-    let require = |k: &str, x: Option<f64>| -> Result<f64, JobError> {
-        x.ok_or_else(|| JobError::Invalid(format!("field {k:?} is required")))
-    };
-
-    let kind = match v.get("kind") {
-        None => JobKind::SimTone,
-        Some(k) => JobKind::parse(
-            k.as_str()
-                .ok_or_else(|| JobError::Invalid("field \"kind\" must be a string".into()))?,
-        )?,
-    };
-    let node_nm = require("node", num("node")?)?;
-    let fs_hz = require("fs_mhz", num("fs_mhz")?)? * 1e6;
-    let bw_hz = require("bw_mhz", num("bw_mhz")?)? * 1e6;
-    let mut job = match kind {
-        JobKind::SimTone => Job::sim(node_nm, fs_hz, bw_hz),
-        JobKind::FullFlow => Job::flow(node_nm, fs_hz, bw_hz),
-    };
-    if let Some(x) = int("slices")? {
-        job.slices = x as usize;
-    }
-    if let Some(x) = int("samples")? {
-        job.samples = x as usize;
-    }
-    if let Some(x) = num("amplitude")? {
-        job.amplitude_rel = x;
-    }
-    if let Some(x) = num("fin_mhz")? {
-        job.fin_hz = Some(x * 1e6);
-    }
-    if let Some(x) = int("steps")? {
-        job.steps_per_cycle = x as usize;
-    }
-    if let Some(x) = num("loop_gain")? {
-        job.loop_gain = x;
-    }
-    if let Some(x) = int("vco_stages")? {
-        job.vco_stages = x as usize;
-    }
-    if let Some(x) = num("rdac_ohm")? {
-        job.rdac_ohm = x;
-    }
-    if let Some(x) = int("seed")? {
-        job.seed = x;
-    }
-    Ok(job)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1080,36 +822,19 @@ mod tests {
         )
     }
 
-    #[test]
-    fn request_parsing_applies_defaults_and_overrides() {
-        let v = Json::parse(r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":7,"slices":4}"#).unwrap();
-        let job = job_from_request(&v).unwrap();
-        assert_eq!(job.kind, JobKind::SimTone);
-        assert_eq!(job.fs_hz, 750e6);
-        assert_eq!(job.slices, 4);
-        assert_eq!(job.seed, 7);
-        assert_eq!(job.samples, 8192, "sim default");
-
-        let v = Json::parse(r#"{"kind":"flow","node":180,"fs_mhz":250,"bw_mhz":1.4}"#).unwrap();
-        let job = job_from_request(&v).unwrap();
-        assert_eq!(job.kind, JobKind::FullFlow);
-        assert_eq!(job.samples, 16_384, "flow default");
-    }
-
-    #[test]
-    fn request_parsing_rejects_typos_and_missing_fields() {
-        let v = Json::parse(r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"slcies":4}"#).unwrap();
-        assert!(job_from_request(&v)
-            .unwrap_err()
-            .to_string()
-            .contains("slcies"));
-        let v = Json::parse(r#"{"node":40,"bw_mhz":5}"#).unwrap();
-        assert!(job_from_request(&v)
-            .unwrap_err()
-            .to_string()
-            .contains("fs_mhz"));
-        let v = Json::parse("[1,2]").unwrap();
-        assert!(job_from_request(&v).is_err());
+    /// A `run` frame for the paper-point sim job with `seed`, plus any
+    /// sibling fields.
+    fn run_frame(seed: u64, siblings: &[(&str, Json)]) -> String {
+        let job = Job {
+            seed,
+            ..Job::sim(40.0, 750e6, 5e6)
+        };
+        let mut fields = vec![
+            ("cmd".to_string(), Json::Str("run".into())),
+            ("job".to_string(), job.to_json()),
+        ];
+        fields.extend(siblings.iter().map(|(k, v)| ((*k).to_string(), v.clone())));
+        Json::Obj(fields).to_text()
     }
 
     fn test_supervision() -> Supervision {
@@ -1132,11 +857,7 @@ mod tests {
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         assert!(!stop);
 
-        let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":2}"#,
-            &engine,
-            &sup,
-        );
+        let (r, _) = handle_line(&run_frame(2, &[]), &engine, &sup);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         let sndr = r
             .get("report")
@@ -1147,6 +868,29 @@ mod tests {
         let (r, _) = handle_line("this is not json", &engine, &sup);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
         assert!(r.get("error").and_then(Json::as_str).is_some());
+
+        // A bare job object is not a second way in: it gets a structured
+        // error pointing at the one job frame, and nothing runs.
+        let (r, _) = handle_line(
+            &Job::sim(40.0, 750e6, 5e6).to_json().to_text(),
+            &engine,
+            &sup,
+        );
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
+        assert!(
+            r.get("error")
+                .and_then(Json::as_str)
+                .is_some_and(|m| m.contains(r#"{"cmd":"run","job":"#)),
+            "{}",
+            r.to_text()
+        );
+        assert_eq!(engine.totals().jobs, 1, "only the run frame ran");
+        // A retired command is unknown, not silently answered.
+        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &engine, &sup);
+        assert!(r
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("unknown command")));
 
         let (r, stop) = handle_line(r#"{"cmd":"shutdown"}"#, &engine, &sup);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
@@ -1209,11 +953,7 @@ mod tests {
     fn stats_and_health_expose_uptime_and_served_jobs() {
         let engine = test_engine();
         let sup = test_supervision();
-        let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":1}"#,
-            &engine,
-            &sup,
-        );
+        let (r, _) = handle_line(&run_frame(1, &[]), &engine, &sup);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
         let (r, _) = handle_line(r#"{"cmd":"stats"}"#, &engine, &sup);
         let stats = r.get("stats").expect("stats object");
@@ -1233,6 +973,11 @@ mod tests {
         assert!(!stop);
         let health = r.get("health").expect("health object");
         assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(health.get("ready").and_then(Json::as_bool), Some(true));
+        assert!(
+            health.get("reason").is_none(),
+            "a ready server gives no reason"
+        );
         assert_eq!(health.get("workers").and_then(Json::as_f64), Some(2.0));
         assert_eq!(
             health.get("stalled_workers").and_then(Json::as_f64),
@@ -1245,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn health_degrades_and_ready_flips_when_a_worker_stalls() {
+    fn health_degrades_and_readiness_flips_when_a_worker_stalls() {
         let runner: Arc<Runner> = Arc::new(|job: &Job| {
             std::thread::sleep(Duration::from_millis(250));
             Ok((
@@ -1298,82 +1043,41 @@ mod tests {
             health.get("stalled_workers").and_then(Json::as_f64),
             Some(1.0)
         );
-        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &engine, &sup);
-        assert_eq!(r.get("ready").and_then(Json::as_bool), Some(false));
-        assert!(r
+        assert_eq!(health.get("ready").and_then(Json::as_bool), Some(false));
+        assert!(health
             .get("reason")
             .and_then(Json::as_str)
             .is_some_and(|m| m.contains("stalled")));
         bg.join().unwrap().unwrap();
-        // Recovered: back to ok/ready.
+        // Recovered: back to ok and ready.
         std::thread::sleep(Duration::from_millis(20));
         let (r, _) = handle_line(r#"{"cmd":"health"}"#, &engine, &sup);
-        assert_eq!(
-            r.get("health")
-                .and_then(|h| h.get("status"))
-                .and_then(Json::as_str),
-            Some("ok")
-        );
-        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &engine, &sup);
-        assert_eq!(r.get("ready").and_then(Json::as_bool), Some(true));
+        let health = r.get("health").expect("health object");
+        assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(health.get("ready").and_then(Json::as_bool), Some(true));
+        assert!(health.get("reason").is_none());
     }
 
     #[test]
-    fn ready_reports_connection_pressure() {
+    fn health_reports_connection_pressure_as_not_ready() {
         let engine = test_engine();
         let sup = Supervision {
             active: Arc::new(AtomicUsize::new(2)),
             max_connections: 2,
             ..test_supervision()
         };
-        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &engine, &sup);
-        assert_eq!(r.get("ready").and_then(Json::as_bool), Some(false));
-        assert!(r
+        let (r, _) = handle_line(r#"{"cmd":"health"}"#, &engine, &sup);
+        let health = r.get("health").expect("health object");
+        assert_eq!(
+            health.get("status").and_then(Json::as_str),
+            Some("ok"),
+            "connection pressure is not a stall"
+        );
+        assert_eq!(health.get("ready").and_then(Json::as_bool), Some(false));
+        assert!(health
             .get("reason")
             .and_then(Json::as_str)
             .is_some_and(|m| m.contains("connection limit")));
-    }
-
-    #[test]
-    fn quota_rejections_are_structured_and_recover_after_refill() {
-        let engine = test_engine();
-        let sup = Supervision {
-            admission: Arc::new(Admission::new(&ServerConfig {
-                quota_burst: 2,
-                quota_refill_per_sec: 50.0,
-                ..ServerConfig::default()
-            })),
-            ..test_supervision()
-        };
-        let ask = |seed: u64| {
-            handle_line(
-                &format!(r#"{{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":{seed},"client":"alice"}}"#),
-                &engine,
-                &sup,
-            )
-            .0
-        };
-        assert_eq!(ask(1).get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(ask(2).get("ok").and_then(Json::as_bool), Some(true));
-        let rejected = ask(3);
-        assert_eq!(rejected.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(rejected.get("busy").and_then(Json::as_bool), Some(true));
-        assert_eq!(rejected.get("quota").and_then(Json::as_bool), Some(true));
-        let retry = rejected
-            .get("retry_after_ms")
-            .and_then(Json::as_u64)
-            .expect("quota rejection must carry retry_after_ms");
-        assert!(retry >= 1, "retry hint must be positive, got {retry}");
-        // A different client has its own bucket.
-        let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":9,"client":"bob"}"#,
-            &engine,
-            &sup,
-        );
-        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
-        // After the refill interval the original client is served again.
-        std::thread::sleep(Duration::from_millis(retry + 50));
-        assert_eq!(ask(4).get("ok").and_then(Json::as_bool), Some(true));
     }
 
     #[test]
@@ -1387,9 +1091,9 @@ mod tests {
             ..test_supervision()
         };
         // Fill the admission window by hand: 2 workers × 1 = 2 slots.
-        let t1 = sup.admission.admit("anon", None, 2, 0).unwrap();
-        let _t2 = sup.admission.admit("anon", None, 2, 0).unwrap();
-        let shed = match sup.admission.admit("anon", None, 2, 0) {
+        let t1 = sup.admission.admit(None, 2, 0).unwrap();
+        let _t2 = sup.admission.admit(None, 2, 0).unwrap();
+        let shed = match sup.admission.admit(None, 2, 0) {
             Err(r) => r,
             Ok(_) => panic!("third request must be shed"),
         };
@@ -1398,14 +1102,10 @@ mod tests {
         assert!(shed.get("retry_after_ms").and_then(Json::as_u64).is_some());
         // With every worker stalled, even an empty queue sheds.
         drop(t1);
-        let stalled = sup.admission.admit("anon", None, 2, 2);
+        let stalled = sup.admission.admit(None, 2, 2);
         assert!(stalled.is_err(), "a fully stalled pool must shed");
         // Through the wire-level path the rejection reaches the client.
-        let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":1}"#,
-            &engine,
-            &sup,
-        );
+        let (r, _) = handle_line(&run_frame(1, &[]), &engine, &sup);
         assert_eq!(
             r.get("ok").and_then(Json::as_bool),
             Some(true),
@@ -1420,7 +1120,7 @@ mod tests {
         let sup = test_supervision();
         // deadline_ms: 0 is provably unmeetable.
         let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":1,"deadline_ms":0}"#,
+            &run_frame(1, &[("deadline_ms", Json::Num(0.0))]),
             &engine,
             &sup,
         );
@@ -1432,15 +1132,11 @@ mod tests {
         // A generous deadline runs normally, and the report is identical
         // to a deadline-free request (the field never reaches the job).
         let (with, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":5,"deadline_ms":60000}"#,
+            &run_frame(5, &[("deadline_ms", Json::Num(60_000.0))]),
             &engine,
             &sup,
         );
-        let (without, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":5}"#,
-            &engine,
-            &sup,
-        );
+        let (without, _) = handle_line(&run_frame(5, &[]), &engine, &sup);
         assert_eq!(with.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
             with.get("report").map(Json::to_text),
@@ -1449,7 +1145,7 @@ mod tests {
         );
         // Malformed deadline is a validation error, not a crash.
         let (r, _) = handle_line(
-            r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"deadline_ms":"soon"}"#,
+            &run_frame(5, &[("deadline_ms", Json::Str("soon".into()))]),
             &engine,
             &sup,
         );
@@ -1460,41 +1156,11 @@ mod tests {
     }
 
     #[test]
-    fn run_command_accepts_sibling_deadline_and_client_fields() {
-        let engine = test_engine();
-        let sup = test_supervision();
-        let job = Job {
-            seed: 8,
-            ..Job::sim(40.0, 750e6, 5e6)
-        };
-        let request = Json::Obj(vec![
-            ("cmd".into(), Json::Str("run".into())),
-            ("job".into(), job.to_json()),
-            ("client".into(), Json::Str("sweeper-1".into())),
-            ("deadline_ms".into(), Json::Num(60_000.0)),
-        ]);
-        let (r, _) = handle_line(&request.to_text(), &engine, &sup);
-        assert_eq!(
-            r.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "{}",
-            r.to_text()
-        );
-        assert_eq!(
-            r.get("report")
-                .and_then(|x| x.get("key"))
-                .and_then(Json::as_str),
-            Some(job.key().as_str()),
-            "admission metadata must not perturb the cache key"
-        );
-    }
-
-    #[test]
     fn health_reports_admission_counters() {
         let engine = test_engine();
         let sup = test_supervision();
         sup.admission
-            .admit("anon", Some(0), engine.workers(), 0)
+            .admit(Some(0), engine.workers(), 0)
             .unwrap_err();
         let (r, _) = handle_line(r#"{"cmd":"health"}"#, &engine, &sup);
         let health = r.get("health").expect("health object");
@@ -1503,10 +1169,6 @@ mod tests {
         assert_eq!(
             health.get("deadline_rejected").and_then(Json::as_f64),
             Some(1.0)
-        );
-        assert_eq!(
-            health.get("quota_rejected").and_then(Json::as_f64),
-            Some(0.0)
         );
     }
 
@@ -1592,7 +1254,7 @@ mod tests {
 
         let pong = ask(r#"{"cmd":"ping"}"#);
         assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
-        let report = ask(r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":4}"#);
+        let report = ask(&run_frame(4, &[]));
         assert_eq!(
             report
                 .get("report")
@@ -1616,7 +1278,7 @@ mod tests {
     }
 
     #[test]
-    fn health_ready_and_stats_advertise_the_engine_fingerprint() {
+    fn health_and_stats_advertise_the_engine_fingerprint() {
         let engine = test_engine();
         let sup = test_supervision();
         let ours = tdsigma_core::engine_fingerprint();
@@ -1627,8 +1289,6 @@ mod tests {
                 .and_then(Json::as_str),
             Some(ours)
         );
-        let (r, _) = handle_line(r#"{"cmd":"ready"}"#, &engine, &sup);
-        assert_eq!(r.get("fingerprint").and_then(Json::as_str), Some(ours));
         let (r, _) = handle_line(r#"{"cmd":"stats"}"#, &engine, &sup);
         assert_eq!(
             r.get("stats")
@@ -1687,93 +1347,6 @@ mod tests {
         assert_eq!(adm.retry_after_ms(2), 2_000);
         // Zero live workers is treated as one, not a divide-by-zero.
         assert_eq!(adm.retry_after_ms(0), 4_000);
-    }
-
-    #[test]
-    fn token_bucket_long_idle_refill_clamps_at_burst() {
-        let mut bucket = TokenBucket::full(3);
-        for _ in 0..3 {
-            assert!(bucket.take(3, 1.0).is_ok(), "a full bucket serves burst");
-        }
-        let wait = bucket.take(3, 1.0).expect_err("drained bucket rejects");
-        assert!(
-            (1..=1_000).contains(&wait),
-            "the hint is at most one refill interval: {wait}"
-        );
-        // A client silent for a day does not bank a day of tokens: the
-        // continuous refill clamps at burst, so the comeback burst is
-        // exactly `burst` requests and not one per idle second.
-        bucket.last = Instant::now() - Duration::from_secs(86_400);
-        for _ in 0..3 {
-            assert!(bucket.take(3, 1.0).is_ok(), "idle refills to burst");
-        }
-        assert!(
-            bucket.take(3, 1.0).is_err(),
-            "token 4 must not exist after any idle, however long"
-        );
-        assert!(
-            bucket.tokens.is_finite() && bucket.tokens >= 0.0,
-            "clamped arithmetic keeps the level sane: {}",
-            bucket.tokens
-        );
-    }
-
-    #[test]
-    fn token_bucket_zero_refill_rate_stays_finite() {
-        // A pathological configuration (burst without refill) must not
-        // divide by zero or go NaN — the wait hint is huge but finite.
-        let mut bucket = TokenBucket::full(1);
-        assert!(bucket.take(1, 0.0).is_ok());
-        let wait = bucket.take(1, 0.0).expect_err("never refills");
-        assert!(wait > 0, "a finite wait, not a panic");
-        assert!(bucket.tokens.is_finite());
-    }
-
-    #[test]
-    fn quota_and_shed_hints_use_their_own_clamps() {
-        let adm = Admission::new(&ServerConfig {
-            quota_burst: 1,
-            quota_refill_per_sec: 2.0,
-            max_queue_per_worker: 1,
-            ..ServerConfig::default()
-        });
-        let ticket = adm.admit("c", None, 1, 0).expect("first token admits");
-        // The same client again, bucket empty: the rejection carries the
-        // bucket's own refill wait (≈500 ms at 2 tokens/s) — not the
-        // queue-drain estimate with its 50 ms floor.
-        let rejection = adm.admit("c", None, 1, 0).expect_err("quota rejects");
-        assert_eq!(rejection.get("quota").and_then(Json::as_bool), Some(true));
-        let wait = rejection
-            .get("retry_after_ms")
-            .and_then(Json::as_f64)
-            .expect("structured hint") as u64;
-        assert!(
-            (1..=500).contains(&wait),
-            "quota hint tracks the refill interval: {wait}"
-        );
-        // A fresh client has tokens, but the in-flight ticket fills the
-        // one-per-worker queue cap: the shed path answers, and with no
-        // service samples yet its drain estimate clamps to the 50 ms
-        // floor (interaction: quota was checked — and passed — first).
-        let shed = adm.admit("other", None, 1, 0).expect_err("shed rejects");
-        assert_eq!(shed.get("shed").and_then(Json::as_bool), Some(true));
-        let wait = shed
-            .get("retry_after_ms")
-            .and_then(Json::as_f64)
-            .expect("structured hint") as u64;
-        assert_eq!(wait, 50, "no samples: the floor of the clamp");
-        assert_eq!(adm.quota_rejected.load(Ordering::Relaxed), 1);
-        assert_eq!(adm.shed.load(Ordering::Relaxed), 1);
-        // Releasing the ticket reopens the queue — but the shed attempt
-        // above already burned "other"'s only token (quota is checked
-        // first), so its next call is quota-rejected, while a brand-new
-        // client sails through.
-        drop(ticket);
-        let rejection = adm
-            .admit("other", None, 1, 0)
-            .expect_err("token spent on shed");
-        assert_eq!(rejection.get("quota").and_then(Json::as_bool), Some(true));
-        assert!(adm.admit("third", None, 1, 0).is_ok());
     }
 
     #[test]

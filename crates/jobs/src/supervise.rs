@@ -11,11 +11,11 @@
 //! flapped forever, and when every child is abandoned the supervisor
 //! exits non-zero rather than pretending a fleet exists.
 //!
-//! Every freshly (re)started child passes an **adoption check**: its
-//! advertised engine fingerprint must match the supervisor's own
-//! ([`tdsigma_core::engine_fingerprint`]). A child whose binary changed
-//! under the supervisor — upgrade, rollback, wrong binary on the
-//! restart path — is killed and its slot abandoned (counted on
+//! Every freshly (re)started child passes an **adoption check**: the
+//! engine fingerprint in its first `health` answer must match the
+//! supervisor's own ([`tdsigma_core::engine_fingerprint`]). A child
+//! whose binary changed under the supervisor — upgrade, rollback, wrong
+//! binary on the restart path — is killed and its slot abandoned (counted on
 //! `fleet.version_skew`) instead of being allowed to serve reports the
 //! rest of the fleet cannot trust.
 //!
@@ -41,7 +41,7 @@
 
 use crate::faults::FaultPlan;
 use crate::pool::backoff_delay_ms;
-use crate::remote::{RemoteClient, RemoteConfig};
+use crate::remote::{BackendHealth, RemoteClient, RemoteConfig};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
@@ -71,7 +71,7 @@ pub struct FleetConfig {
     pub restart_window_ms: u64,
     /// Supervision tick, ms (crash reap + health probe cadence).
     pub health_interval_ms: u64,
-    /// Whether to probe `ready` over the wire each tick. Off for
+    /// Whether to probe `health` over the wire each tick. Off for
     /// children that are not serve processes (unit tests, harnesses).
     pub probe_health: bool,
     /// Consecutive failed probes after which a live-but-silent child is
@@ -302,11 +302,11 @@ impl Fleet {
         }
         if self.config.probe_health {
             let client = RemoteClient::with_config(&self.slots[i].addr, probe_config.clone());
-            match client.ready() {
-                Ok(_) => {
+            match client.health() {
+                Ok(health) => {
                     self.slots[i].misses = 0;
                     if !self.slots[i].verified {
-                        self.verify_child(i, &client);
+                        self.adopt(i, &health);
                     }
                 }
                 Err(_) => {
@@ -327,30 +327,23 @@ impl Fleet {
         }
     }
 
-    /// One-time adoption check for a freshly (re)started child: a child
-    /// whose engine fingerprint differs from the supervisor's would
-    /// serve reports the rest of the fleet cannot trust — it was
-    /// swapped out under us (upgrade, rollback, wrong binary on the
-    /// restart path). Such a child is killed and its slot abandoned
-    /// loudly instead of adopted; respawning would only exec the same
-    /// mismatched binary again.
-    fn verify_child(&mut self, i: usize, client: &RemoteClient) {
-        let Ok(health) = client.health() else {
-            return; // transient: the next tick retries, misses cover silence
-        };
-        let ours = tdsigma_core::engine_fingerprint();
-        if health.fingerprint == ours {
+    /// One-time adoption check for a freshly (re)started child, from its
+    /// first `health` answer: a child whose engine fingerprint differs
+    /// from the supervisor's would serve reports the rest of the fleet
+    /// cannot trust — it was swapped out under us (upgrade, rollback,
+    /// wrong binary on the restart path). Such a child is killed and its
+    /// slot abandoned loudly instead of adopted; respawning would only
+    /// exec the same mismatched binary again.
+    fn adopt(&mut self, i: usize, health: &BackendHealth) {
+        if health.fingerprint_matches() {
             self.slots[i].verified = true;
             return;
         }
-        let theirs = if health.fingerprint.is_empty() {
-            "unknown (pre-fingerprint binary)".to_string()
-        } else {
-            health.fingerprint
-        };
         tdsigma_obs::counter("fleet.version_skew").inc();
         eprintln!(
-            "fleet: child {i} engine fingerprint {theirs} != supervisor {ours}; refusing to adopt"
+            "fleet: child {i} engine fingerprint {} != supervisor {}; refusing to adopt",
+            health.fingerprint,
+            tdsigma_core::engine_fingerprint()
         );
         if let Some(mut child) = self.slots[i].child.take() {
             let _ = child.kill();

@@ -5,8 +5,9 @@
 //!    byte-identical report JSON for the same batch.
 //! 2. **Warm cache** — re-running a sweep against the same on-disk cache
 //!    executes zero flows and replays byte-identical reports.
-//! 3. **Serve** — concurrent TCP clients all get correct answers, and a
-//!    malformed request gets a well-formed JSON error.
+//! 3. **Serve** — concurrent TCP clients sending `run` frames all get
+//!    correct answers, and a malformed or bare-job request gets a
+//!    well-formed JSON error.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -121,15 +122,23 @@ fn serve_answers_concurrent_clients_and_rejects_garbage() {
     let clients: Vec<_> = (1..=4u64)
         .map(|seed| {
             std::thread::spawn(move || {
-                let line = format!(
-                    r#"{{"node":40,"fs_mhz":750,"bw_mhz":5,"slices":2,"samples":2048,"steps":4,"seed":{seed}}}"#
-                );
+                let line = Json::Obj(vec![
+                    ("cmd".into(), Json::Str("run".into())),
+                    ("job".into(), quick_job(seed).to_json()),
+                ])
+                .to_text();
                 let mut stream = TcpStream::connect(addr).expect("connect");
                 writeln!(stream, "{line}").expect("send");
                 let mut response = String::new();
-                BufReader::new(stream).read_line(&mut response).expect("receive");
+                BufReader::new(stream)
+                    .read_line(&mut response)
+                    .expect("receive");
                 let v = Json::parse(response.trim()).expect("well-formed JSON response");
-                assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{response}");
+                assert_eq!(
+                    v.get("ok").and_then(Json::as_bool),
+                    Some(true),
+                    "{response}"
+                );
                 let sndr = v
                     .get("report")
                     .and_then(|r| r.get("sndr_db"))
@@ -164,6 +173,18 @@ fn serve_answers_concurrent_clients_and_rejects_garbage() {
     assert!(err.get("error").and_then(Json::as_str).is_some());
     let err = request(r#"{"node":40}"#.to_string());
     assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
+    // A bare job object in friendly units is not a second way to submit
+    // work: it is refused with an error naming the one job frame.
+    let err = request(r#"{"node":40,"fs_mhz":750,"bw_mhz":5,"seed":2}"#.to_string());
+    assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
+    assert!(
+        err.get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains(r#"{"cmd":"run","job":"#)),
+        "{}",
+        err.to_text()
+    );
+    assert!(err.get("report").is_none(), "{}", err.to_text());
 
     let bye = request(r#"{"cmd":"shutdown"}"#.to_string());
     assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));

@@ -15,7 +15,7 @@
 
 use crate::cma::CmaState;
 use crate::space::{Candidate, SearchSpace};
-use tdsigma_jobs::{Job, JobError, JobKind, JobReport, Json};
+use tdsigma_jobs::{Job, JobError, JobKind, JobReport, Json, MAX_SEED};
 use tdsigma_tech::Rng64;
 
 /// Fitness assigned to evaluations that produced no usable report
@@ -104,7 +104,7 @@ impl OptConfig {
         }
     }
 
-    /// Validates budget / fidelity / population sanity.
+    /// Validates budget / fidelity / population / seed sanity.
     ///
     /// # Errors
     ///
@@ -126,6 +126,14 @@ impl OptConfig {
             return Err(format!(
                 "population {} exceeds budget {}",
                 self.population, self.budget
+            ));
+        }
+        // The seed becomes every candidate's job seed, which must survive
+        // the journal and the wire exactly.
+        if self.seed > MAX_SEED {
+            return Err(format!(
+                "seed must be at most 2^53 = {MAX_SEED}, got {}",
+                self.seed
             ));
         }
         Ok(self)
@@ -757,9 +765,21 @@ mod tests {
         .is_err());
         assert!(OptConfig {
             population: 1000,
-            ..config
+            ..config.clone()
         }
         .validated()
         .is_err());
+        assert!(OptConfig {
+            seed: MAX_SEED,
+            ..config.clone()
+        }
+        .validated()
+        .is_ok());
+        assert!(OptConfig {
+            seed: MAX_SEED + 1,
+            ..config
+        }
+        .validated()
+        .is_err_and(|m| m.contains("2^53")));
     }
 }

@@ -21,10 +21,9 @@
 //!                [--resume ID] [--dry-run]
 //! tdsigma serve  [--addr 127.0.0.1:4017] [--workers N] [--retries 1]
 //!                [--cache-dir results/cache] [--no-cache] [--trace FILE]
-//!                [--max-connections 64] [--allow-remote-shutdown]
-//!                [--quota-burst N] [--quota-rps R] [--max-queue Q]
+//!                [--max-connections 64] [--allow-remote-shutdown] [--max-queue Q]
 //! tdsigma fleet  [--children 2] [--workers W] [--cache-dir DIR]
-//!                [--max-connections N] [--restart-max 5]
+//!                [--max-connections N] [--max-queue Q] [--restart-max 5]
 //!                [--health-interval-ms 500]
 //! tdsigma cache  stats|scrub [--cache-dir results/cache]
 //! tdsigma nodes
@@ -61,20 +60,21 @@
 //! and optimize) prints the planned jobs and predicted cache hits
 //! without executing anything.
 //!
-//! `serve` exposes the same engine over TCP — one JSON job request per
-//! line in, one JSON report per line out (see `crates/jobs/src/server.rs`
-//! or README for the protocol). The protocol `shutdown` command is
-//! refused unless the server was started with `--allow-remote-shutdown`.
-//! Admission control is built in: `--quota-burst`/`--quota-rps` cap each
-//! client id with a token bucket, `--max-queue` sheds work when the
-//! queue outgrows the live workers, and every rejection is structured
-//! with a computed `retry_after_ms`. Sweep clients can attach a per-job
-//! wall-clock budget with `--deadline-ms`: the remaining budget rides
-//! each frame and a backend refuses work it provably cannot finish.
+//! `serve` exposes the same engine over TCP — one JSON command per line
+//! in, one JSON response per line out; jobs arrive as
+//! `{"cmd":"run","job":{…}}` in their canonical form (see
+//! `crates/jobs/src/server.rs` or README for the protocol). The protocol
+//! `shutdown` command is refused unless the server was started with
+//! `--allow-remote-shutdown`. Admission control has two gates:
+//! `--max-queue` sheds work when the queue outgrows the live workers
+//! (a structured rejection with a computed `retry_after_ms`), and sweep
+//! clients can attach a per-job wall-clock budget with `--deadline-ms`:
+//! the remaining budget rides each frame and a backend refuses work it
+//! provably cannot finish.
 //!
 //! `fleet` runs a self-healing fleet of serve children: it spawns
 //! `--children` servers on auto-picked ports (printed at startup),
-//! restarts any child that crashes or stops answering `ready` (with
+//! restarts any child that crashes or stops answering `health` (with
 //! deterministic-jitter backoff and a restart-storm cap), and drains
 //! the fleet gracefully, one child at a time, on SIGTERM/SIGINT.
 //!
@@ -87,7 +87,7 @@
 //! written by a different binary is demoted to a `stale/` tier instead
 //! of replayed, `--resume` refuses a journal planned by a different
 //! engine unless `--resume-force` re-executes everything, serve
-//! advertises the fingerprint in `health`/`ready`/`stats`, sweeps
+//! advertises the fingerprint in `health`/`stats`, sweeps
 //! exclude mismatched-fingerprint backends from dispatch (degrading to
 //! matching backends plus local fallback), and `fleet` refuses to
 //! adopt a restarted child whose fingerprint changed under it.
@@ -110,6 +110,7 @@ use tdsigma::jobs::{
     default_workers, execute, gc_finished, install_stop_handler, validate_run_id, DispatchConfig,
     Dispatcher, Engine, EngineConfig, FaultPlan, Fleet, FleetConfig, Job, JobKind, Journal,
     JournalRecord, Json, PlanPreview, PoolConfig, ResultCache, Runner, Server, ServerConfig,
+    MAX_SEED,
 };
 use tdsigma::layout::physlib::PhysicalLibrary;
 use tdsigma::layout::{gds, lef, render};
@@ -184,11 +185,10 @@ fn print_help() {
     println!("  tdsigma serve  [--addr HOST:PORT] [--workers W] [--retries R]");
     println!("                 [--cache-dir DIR] [--no-cache] [--trace FILE]");
     println!("                 [--max-connections N] [--allow-remote-shutdown]");
-    println!("                 [--quota-burst N] [--quota-rps R] [--max-queue Q]");
-    println!("                                                JSON-lines job server");
+    println!("                 [--max-queue Q]                JSON-lines job server");
     println!("  tdsigma fleet  [--children 2] [--workers W] [--cache-dir DIR]");
-    println!("                 [--max-connections N] [--restart-max 5]");
-    println!("                 [--health-interval-ms 500] [serve admission flags]");
+    println!("                 [--max-connections N] [--max-queue Q] [--restart-max 5]");
+    println!("                 [--health-interval-ms 500]");
     println!("                                                self-healing serve fleet");
     println!("  tdsigma cache  stats|scrub [--cache-dir DIR]  inspect / prune the cache");
     println!("  tdsigma nodes                                 list technology nodes");
@@ -215,10 +215,13 @@ fn print_help() {
     println!("  finished by `tdsigma optimize --resume ID` through the result cache.");
     println!("DRY RUN: `--dry-run` (sweep and optimize) prints the planned jobs and");
     println!("  predicted cache hits vs misses, then exits without executing anything.");
-    println!("OVERLOAD: serve sheds work it cannot take (`--quota-burst`/`--quota-rps`");
-    println!("  per-client quotas, `--max-queue` depth cap) with structured busy");
-    println!("  rejections carrying retry_after_ms; sweep `--deadline-ms MS` attaches a");
-    println!("  per-job wall-clock budget that backends enforce. `tdsigma fleet` keeps");
+    println!("SERVE PROTOCOL: one JSON command per line; jobs travel as");
+    println!("  {{\"cmd\":\"run\",\"job\":{{…}}}} in canonical Hz units, and");
+    println!("  {{\"cmd\":\"health\"}} reports liveness, readiness and the fingerprint.");
+    println!("OVERLOAD: serve sheds work it cannot take (`--max-queue` depth cap) with");
+    println!("  structured busy rejections carrying retry_after_ms; sweep");
+    println!("  `--deadline-ms MS` attaches a per-job wall-clock budget that backends");
+    println!("  refuse when their queue cannot meet it. `tdsigma fleet` keeps");
     println!("  N serve children alive (crash/stall restart with backoff and a storm");
     println!("  cap) and drains them gracefully on SIGTERM. `sweep --journal-gc`");
     println!("  prunes journals of finished runs; successful sweeps keep the newest 32.");
@@ -340,9 +343,7 @@ const SERVE_FLAGS: &[&str] = &[
     "trace",
     "max-connections",
     "allow-remote-shutdown",
-    // Admission control: per-client token buckets and queue-depth shedding.
-    "quota-burst",
-    "quota-rps",
+    // Admission control: queue-depth shedding.
     "max-queue",
     "chaos-seed",
 ];
@@ -358,9 +359,7 @@ const FLEET_FLAGS: &[&str] = &[
     "restart-max",
     "restart-window-ms",
     "health-interval-ms",
-    // Admission knobs forwarded to each serve child.
-    "quota-burst",
-    "quota-rps",
+    // Admission knob forwarded to each serve child.
     "max-queue",
     // Hidden: deterministic fault injection (enables child kills).
     "chaos-seed",
@@ -573,13 +572,6 @@ fn run_cache(args: &[String]) -> ExitCode {
 /// re-executes every job under the current engine.
 fn verify_resume_fingerprint(run_id: &str, planned: &str, force: bool) -> Result<(), String> {
     let ours = tdsigma::core::engine_fingerprint();
-    if planned.is_empty() {
-        eprintln!(
-            "warning: journal for {run_id} predates engine fingerprinting; \
-             foreign cache artifacts will be demoted, not replayed"
-        );
-        return Ok(());
-    }
     if planned == ours {
         return Ok(());
     }
@@ -730,13 +722,12 @@ fn engine_from_flags(flags: &Flags) -> Result<EngineSetup, Box<dyn std::error::E
             // size the dispatch pool from the fleet's actual capacity
             // (each pool thread just blocks on one remote call).
             let mut remote_workers = 0usize;
-            let ours = tdsigma::core::engine_fingerprint();
             for (addr, health) in dispatcher.probe() {
                 match health {
                     // The probe already marked (and warned about) the
                     // version skew; a skewed backend never receives
                     // work, so it must not size the pool either.
-                    Some(h) if h.fingerprint != ours => {}
+                    Some(h) if !h.fingerprint_matches() => {}
                     Some(h) => {
                         println!(
                             "backend {addr}: {} workers, status {}, up {:.0} s, {} jobs served",
@@ -865,6 +856,9 @@ fn try_run_sweep(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
     };
     let samples = flags.usize("samples", 8_192)?;
     let seed = flags.usize("seed", 2017)? as u64;
+    if seed > MAX_SEED {
+        return Err(format!("--seed must be at most 2^53 = {MAX_SEED}, got {seed}").into());
+    }
     let out = flags.str("out", "results");
     let journal_dir = flags.str("journal-dir", "results/journal");
     let trace = enable_trace(flags)?;
@@ -1337,15 +1331,11 @@ fn try_run_serve(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
     let server_config = ServerConfig {
         max_connections: flags.usize("max-connections", defaults.max_connections)?,
         allow_remote_shutdown: flags.switch("allow-remote-shutdown"),
-        quota_burst: flags.usize("quota-burst", defaults.quota_burst as usize)? as u32,
-        quota_refill_per_sec: flags.f64("quota-rps", defaults.quota_refill_per_sec)?,
         max_queue_per_worker: flags.usize("max-queue", defaults.max_queue_per_worker)?,
         ..ServerConfig::default()
     };
     let max_connections = server_config.max_connections;
     let allow_remote_shutdown = server_config.allow_remote_shutdown;
-    let quota_burst = server_config.quota_burst;
-    let quota_refill_per_sec = server_config.quota_refill_per_sec;
     let max_queue_per_worker = server_config.max_queue_per_worker;
     let server = Server::bind_with(addr.as_str(), Arc::clone(&engine), server_config)?;
     println!(
@@ -1358,24 +1348,16 @@ fn try_run_serve(flags: &Flags) -> Result<usize, Box<dyn std::error::Error>> {
             .map_or("memory only".to_string(), |d| d.display().to_string()),
         max_connections,
     );
-    println!("protocol: one JSON job request per line, one JSON report per line back");
-    println!(r#"example: {{"kind":"sim","node":40,"fs_mhz":750,"bw_mhz":5,"seed":1}}"#);
-    println!(r#"supervision: {{"cmd":"health"}} and {{"cmd":"ready"}} report liveness"#);
-    match (quota_burst, max_queue_per_worker) {
-        (0, 0) => println!("admission: open (no per-client quota, no queue cap)"),
-        (burst, cap) => println!(
-            "admission: quota {} (burst {burst}), queue cap {}",
-            if burst == 0 {
-                "off".to_string()
-            } else {
-                format!("{quota_refill_per_sec:.1}/s per client")
-            },
-            if cap == 0 {
-                "off".to_string()
-            } else {
-                format!("{cap} per worker")
-            },
-        ),
+    println!("protocol: one JSON command per line, one JSON response per line back");
+    let example = Json::Obj(vec![
+        ("cmd".into(), Json::Str("run".into())),
+        ("job".into(), Job::sim(40.0, 750e6, 5e6).to_json()),
+    ]);
+    println!("example: {}", example.to_text());
+    println!(r#"supervision: {{"cmd":"health"}} reports liveness and readiness"#);
+    match max_queue_per_worker {
+        0 => println!("admission: no queue cap; deadline_ms checked per job"),
+        cap => println!("admission: queue cap {cap} per worker; deadline_ms checked per job"),
     }
     if allow_remote_shutdown {
         println!("remote shutdown: ENABLED (any client can stop this server)");
@@ -1441,13 +1423,7 @@ fn try_run_fleet(flags: &Flags) -> Result<i32, Box<dyn std::error::Error>> {
         child_args.push("--cache-dir".to_string());
         child_args.push(dir.clone());
     }
-    for key in [
-        "retries",
-        "max-connections",
-        "quota-burst",
-        "quota-rps",
-        "max-queue",
-    ] {
+    for key in ["retries", "max-connections", "max-queue"] {
         if let Some(value) = flags.values.get(key) {
             child_args.push(format!("--{key}"));
             child_args.push(value.clone());

@@ -87,6 +87,72 @@ fn sweep_runs_grid_and_writes_artifact() {
 }
 
 #[test]
+fn seeds_above_2_pow_53_are_refused_before_anything_is_journaled() {
+    // A seed travels through the journal, the wire and sweep.json as a
+    // JSON number, which is exact only up to 2^53. A larger seed must be
+    // refused up front, not rounded or left in an unresumable journal.
+    let dir = std::env::temp_dir().join(format!("tdsigma_cli_seed_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal_dir = dir.join("journal");
+    let run = |args: &[&str]| {
+        Command::new(bin())
+            .args(args)
+            .args([
+                "--samples",
+                "2048",
+                "--no-cache",
+                "--journal-dir",
+                journal_dir.to_str().expect("utf8 temp path"),
+                "--out",
+                dir.to_str().expect("utf8 temp path"),
+            ])
+            .output()
+            .expect("runs")
+    };
+    for (id, seed) in [("big", "1152921504606846976"), ("odd", "9007199254740993")] {
+        let sweep = ["sweep", "--nodes", "40", "--slices", "1", "--seed", seed];
+        let out = run(&[&sweep[..], &["--run-id", id]].concat());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "seed {seed} must be refused");
+        assert!(err.contains("--seed") && err.contains("2^53"), "{err}");
+        assert!(!journal_dir.join(format!("{id}.jsonl")).exists());
+        assert!(!dir.join("sweep.json").exists());
+
+        let opt_id = format!("opt-{id}");
+        let optimize = ["optimize", "--kind", "sim", "--budget", "2", "--seed", seed];
+        let out = run(&[&optimize[..], &["--run-id", &opt_id]].concat());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "optimize seed {seed} must be refused"
+        );
+        assert!(err.contains("2^53"), "{err}");
+        assert!(!journal_dir.join(format!("{opt_id}.jsonl")).exists());
+        assert!(!journal_dir.join(format!("{opt_id}.opt.json")).exists());
+    }
+    // The bound itself is exact and accepted.
+    let out = run(&[
+        "sweep",
+        "--nodes",
+        "40",
+        "--slices",
+        "1",
+        "--seed",
+        "9007199254740992",
+        "--run-id",
+        "edge",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(dir.join("sweep.json")).expect("artifact");
+    assert!(json.contains("\"seed\":9007199254740992"), "{json}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_flag_is_rejected_with_the_supported_list() {
     for (cmd, flag) in [
         ("sweep", "--nodez"),

@@ -162,14 +162,14 @@ pub fn spawn_serve_with_env(
     (child, addr)
 }
 
-/// Blocks until the backend at `addr` answers `{"cmd":"ready"}` with
+/// Blocks until the backend at `addr` answers `{"cmd":"health"}` with
 /// `"ready":true`, or panics at the deadline.
 pub fn wait_for_ready(addr: &str, timeout: Duration) {
     let deadline = Instant::now() + timeout;
     loop {
         if let Ok(mut stream) = TcpStream::connect(addr) {
             let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-            if stream.write_all(b"{\"cmd\":\"ready\"}\n").is_ok() {
+            if stream.write_all(b"{\"cmd\":\"health\"}\n").is_ok() {
                 let mut response = String::new();
                 if reader.read_line(&mut response).is_ok() && response.contains("\"ready\":true") {
                     return;

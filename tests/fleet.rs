@@ -229,11 +229,11 @@ fn kill9ed_fleet_child_is_restarted_and_sweep_bytes_match_local() {
         "fleet must drain cleanly on SIGTERM, got {status:?}; transcript:\n{}",
         fleet.transcript()
     );
-    let transcript = fleet.transcript();
-    assert!(
-        transcript.contains("fleet: drained"),
-        "drain must be announced; transcript:\n{transcript}"
-    );
+    // The supervisor has exited, but its last lines may still be in the
+    // pipe on their way to the transcript thread: wait for them.
+    fleet.wait_for("the drain announcement", Duration::from_secs(10), |t| {
+        t.contains("fleet: drained")
+    });
     for addr in &addrs {
         assert!(
             std::net::TcpStream::connect(addr).is_err(),
@@ -280,13 +280,13 @@ fn fleet_serves_a_sweep_and_drains_on_sigterm() {
         "fleet must exit 0 on SIGTERM; transcript:\n{}",
         fleet.transcript()
     );
-    let transcript = fleet.transcript();
-    for i in 0..2 {
-        assert!(
-            transcript.contains(&format!("fleet: child {i} on ")),
-            "each child's drain must be announced; transcript:\n{transcript}"
-        );
-    }
+    // The supervisor has exited, but its last lines may still be in the
+    // pipe on their way to the transcript thread: wait for them.
+    fleet.wait_for(
+        "each child's drain announcement",
+        Duration::from_secs(10),
+        |t| (0..2).all(|i| t.contains(&format!("fleet: child {i} on "))),
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
